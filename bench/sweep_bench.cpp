@@ -1,7 +1,8 @@
 // Budget-sweep benchmark for the plan service: a 10-point overhead-vs-budget
 // curve (the Figure 5 workload) solved cold -- ten independent
-// Scheduler::solve_optimal_ilp calls -- versus through PlanService::sweep,
-// which builds and presolves the formulation once, rebinds the budget in
+// Scheduler::solve_optimal_ilp calls -- versus through
+// PlanService::sweep_robust, which builds and presolves the formulation
+// once, rebinds the budget in
 // place per point and chains warm starts. Both paths must land identical
 // proven-optimal objectives at every point; the service must be >= 3x
 // faster wall-clock.
@@ -109,10 +110,10 @@ int run_suite(const std::string& json_path, int points,
 
     service::PlanService svc;
     const auto cached_start = Clock::now();
-    const auto cached = svc.sweep(inst.problem, budgets, opts);
+    const auto cached = svc.sweep_robust(inst.problem, budgets, opts);
     const double cached_wall = seconds_since(cached_start);
     for (size_t i = 0; i < budgets.size(); ++i) {
-      pts[i].cached = cached[i];
+      pts[i].cached = cached[i].result;
       std::fprintf(stderr, "%-14s cached %5.2f GB %-9s cost=%-10.6g %6.2fs\n",
                    inst.name.c_str(), budgets[i] / 1e9,
                    milp::to_string(pts[i].cached.milp_status),

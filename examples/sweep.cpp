@@ -37,18 +37,17 @@ int main(int argc, char** argv) {
   opts.time_limit_sec = 30.0;
   opts.relative_gap = 5e-4;
 
-  // Equivalent convenience wrapper: sched.solve_budget_sweep(budgets, opts).
   service::PlanService service;
-  const auto results = service.sweep(problem, budgets, opts);
+  const auto outcomes = service.sweep_robust(problem, budgets, opts);
 
   std::printf("%s: %d nodes, checkpoint-all peak %.3f GB\n\n",
               problem.name.c_str(), problem.size(), all.peak_memory / 1e9);
-  std::printf("%-12s %-10s %-10s %-8s %-8s\n", "budget(GB)", "status",
+  std::printf("%-12s %-16s %-10s %-8s %-8s\n", "budget(GB)", "provenance",
               "overhead", "nodes", "seconds");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScheduleResult& r = results[i];
-    std::printf("%-12.3f %-10s %-10.4f %-8lld %-8.2f\n", budgets[i] / 1e9,
-                milp::to_string(r.milp_status), r.overhead,
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const ScheduleResult& r = outcomes[i].result;
+    std::printf("%-12.3f %-16s %-10.4f %-8lld %-8.2f\n", budgets[i] / 1e9,
+                service::to_string(outcomes[i].provenance), r.overhead,
                 static_cast<long long>(r.nodes), r.seconds);
   }
 

@@ -2,8 +2,9 @@
 # CI entry point: configure, build with warnings-as-errors, run the test
 # tier, then the benchmark regression gate.
 #
-#   CHECK_TIER=fast (default)  pre-merge: fast-labeled ctest tier + the
-#                              sweep-bench and service-bench gates
+#   CHECK_TIER=fast (default)  pre-merge: fast-labeled ctest tier, the
+#                              benchmark/ build + plan-checker self-test,
+#                              and the sweep-bench and service-bench gates
 #   CHECK_TIER=full            nightly: full ctest suite, TSan and
 #                              ASan+fault-injection (chaos/disk-fault)
 #                              stages, sweep and service gates, and the
@@ -36,6 +37,15 @@ if [ "$CHECK_TIER" = "full" ]; then
 else
   ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" -L fast
 fi
+
+# The standalone planning-query benchmark (benchmark/, see BENCHMARK.json)
+# compiles ../src itself, so a library API change can break it without
+# touching the root build: build it and run its plan checker's self-test.
+# Same directory and generator as benchmark/run.sh, so the two share a tree.
+BENCH_BUILD_DIR="${BENCH_BUILD_DIR:-build-bench}"
+cmake -S benchmark -B "$BENCH_BUILD_DIR" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BENCH_BUILD_DIR" -j
+"$BENCH_BUILD_DIR/plan_bench" --self-test
 
 # Nightly ThreadSanitizer stage: rebuild the threading-heavy suites with
 # -DCHECKMATE_TSAN=ON and run the parallel-determinism tests under TSan.

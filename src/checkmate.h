@@ -36,4 +36,3 @@
 #include "model/zoo.h"
 #include "service/formulation_cache.h"
 #include "service/plan_service.h"
-#include "service/solve_pool.h"

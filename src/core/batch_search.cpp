@@ -109,7 +109,9 @@ FeasibilityProbe make_ilp_probe(double budget_bytes,
     }
 
     // MILP feasibility through the plan service (cost cap keyed into the
-    // formulation cache; first-incumbent mode).
+    // formulation cache; first-incumbent mode). Only a MILP plan answers
+    // the probe: a proven optimum or a truncated search's incumbent, both
+    // of which respect the cap inside the formulation.
     IlpSolveOptions opts;
     opts.time_limit_sec = per_probe_time_limit_sec;
     opts.stop_at_first_incumbent = true;
@@ -123,8 +125,10 @@ FeasibilityProbe make_ilp_probe(double budget_bytes,
       opts.max_lp_iterations = base_milp.max_lp_iterations;
     if (base_milp.max_nodes != milp::MilpOptions{}.max_nodes)
       opts.max_nodes = base_milp.max_nodes;
-    const ScheduleResult res = service->plan(p, budget_bytes, opts);
-    return res.feasible;
+    const auto provenance =
+        service->plan_robust(p, budget_bytes, opts).provenance;
+    return provenance == service::PlanProvenance::kProvenOptimal ||
+           provenance == service::PlanProvenance::kIncumbent;
   };
 }
 

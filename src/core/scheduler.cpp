@@ -154,7 +154,12 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
       reuse.presolved_lp ? *reuse.presolved_lp : form.lp();
   const milp::MilpResult mres = milp::solve_milp(target, mopts, heuristic);
 
+  // A partitioned solution is validated end to end by the simulator; the
+  // search counters ride along on every path.
   ScheduleResult res;
+  if (partitioned && mres.has_solution())
+    res = evaluate_schedule_against(problem, form.extract_solution(mres.x),
+                                    budget_bytes);
   res.milp_status = mres.status;
   res.nodes = mres.nodes;
   res.lp_iterations = mres.lp_iterations;
@@ -181,36 +186,15 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
       res.proven_infeasible = true;
       res.memory_floor_bytes = problem.memory_floor();
     }
-    return res;
-  }
-  if (!partitioned) {
+  } else if (!partitioned) {
     // Unpartitioned schedules are not frontier-advancing; report objective
     // only (used by the Appendix A study).
     res.feasible = true;
     res.cost = form.unscale_cost(mres.objective);
     res.overhead = res.cost / problem.total_cost_all_nodes();
     res.message = "unpartitioned: objective only";
-    return res;
   }
-
-  ScheduleResult eval = evaluate_schedule_against(
-      problem, form.extract_solution(mres.x), budget_bytes);
-  eval.milp_status = mres.status;
-  eval.nodes = mres.nodes;
-  eval.lp_iterations = mres.lp_iterations;
-  eval.cuts_added = mres.cuts_added;
-  eval.strong_branches = mres.strong_branches;
-  eval.gomory_cuts = mres.gomory_cuts;
-  eval.cuts_removed = mres.cuts_removed;
-  eval.lp_refactorizations = mres.lp_refactorizations;
-  eval.lp_ft_updates = mres.lp_ft_updates;
-  eval.lp_ft_growth_refactors = mres.lp_ft_growth_refactors;
-  eval.lp_eta_pivots = mres.lp_eta_pivots;
-  eval.lp_pricing_resets = mres.lp_pricing_resets;
-  eval.seconds = mres.seconds;
-  eval.best_bound = res.best_bound;
-  eval.root_relaxation = res.root_relaxation;
-  return eval;
+  return res;
 }
 
 ScheduleResult Scheduler::solve_optimal_ilp(

@@ -61,7 +61,7 @@ struct IlpSolveOptions {
   // (unless the wall-clock time limit truncates the run -- deterministic
   // work limits, max_lp_iterations/max_nodes, keep the invariance even
   // when truncated), so this is purely a wall-clock knob. The PlanService
-  // overrides 0 with its share of the service-wide thread budget.
+  // overrides 0 with PlanServiceOptions::num_threads.
   int num_threads = 0;
   // Optional cap on total recomputation cost (Eq. 10, original cost
   // units), threaded into the formulation. The max-batch feasibility
@@ -175,16 +175,6 @@ class Scheduler {
   // Section 4: optimal rematerialization via the MILP.
   ScheduleResult solve_optimal_ilp(double budget_bytes,
                                    const IlpSolveOptions& options = {}) const;
-
-  // Figure 5 workload: optimal plans for many budgets on one model. Routed
-  // through a plan service (src/service/plan_service.h) so the formulation
-  // and presolve artifacts are built once and each point warm-starts from
-  // its neighbor; results come back in the caller's budget order and every
-  // point's objective is identical to an independent solve_optimal_ilp
-  // call. Defined in src/service/plan_service.cpp.
-  std::vector<ScheduleResult> solve_budget_sweep(
-      const std::vector<double>& budgets,
-      const IlpSolveOptions& options = {}) const;
 
   // Section 5: LP relaxation + two-phase rounding.
   ScheduleResult solve_lp_rounding(double budget_bytes,

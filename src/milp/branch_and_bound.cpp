@@ -166,7 +166,7 @@ class EpochSearch {
         start_(Clock::now()),
         heur_interval_(std::max(1, options.heuristic_interval)) {
     epoch_width_ = std::max(1, opt_.epoch_width);
-    num_workers_ = resolve_tree_threads(opt_);
+    tree_workers_ = resolve_tree_threads(opt_);
     // The working LP needs stable row identities (cut-row GC remaps basis
     // snapshots by id) -- synthesize them when the caller's LP doesn't
     // carry any (e.g. the presolve output builds rows directly). And the
@@ -187,7 +187,7 @@ class EpochSearch {
       if (lp.is_integer[j]) int_vars_.push_back(j);
     pc_.init(lp.num_vars());
     fix_done_.assign(static_cast<size_t>(lp.num_vars()), 0);
-    workers_.resize(static_cast<size_t>(num_workers_));
+    workers_.resize(static_cast<size_t>(tree_workers_));
     // First-incumbent (feasibility-probe) searches stop at the first
     // feasible point: cut rounds and strong-branch probes pay off through
     // bound pruning, which such a search never reaches, so both default
@@ -1223,7 +1223,7 @@ class EpochSearch {
     results.clear();
     results.resize(slots.size());
     const int want =
-        std::min<int>(num_workers_, static_cast<int>(slots.size()));
+        std::min<int>(tree_workers_, static_cast<int>(slots.size()));
     if (want <= 1) {
       for (size_t i = 0; i < slots.size(); ++i)
         results[i] = guarded_slot(0, slots[i]);
@@ -1290,7 +1290,7 @@ class EpochSearch {
   const IncumbentHeuristic& heuristic_;
   Clock::time_point start_;
   int epoch_width_ = 4;
-  int num_workers_ = 1;
+  int tree_workers_ = 1;
   int64_t max_dive_nodes_ = kMaxDiveNodes;
   std::vector<int> int_vars_;
 

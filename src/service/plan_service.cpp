@@ -23,16 +23,6 @@ ScheduleResult infeasible_result(const char* message) {
   return res;
 }
 
-// Budget below the structural memory floor: a *proof* of infeasibility
-// (some single-stage working set alone exceeds the budget), so the typed
-// flag and the floor certificate are set.
-ScheduleResult floor_infeasible(const RematProblem& problem) {
-  ScheduleResult res = infeasible_result("budget below structural memory floor");
-  res.proven_infeasible = true;
-  res.memory_floor_bytes = problem.memory_floor();
-  return res;
-}
-
 // Re-apportion a finite query deadline across the remaining sweep points:
 // with k points left, the next solve gets at most remaining/k, so one slow
 // instance cannot starve the rest of the sweep. Inert deadlines pass
@@ -54,13 +44,18 @@ IlpSolveOptions apportion_deadline(const IlpSolveOptions& base,
 // anchor: minimal retention), then the Chen sqrt(n) family and greedy
 // variants, then budget-aware retention caps for the tight-budget regime.
 // None of these touch the LP machinery, so they survive every numerical
-// failure and fault schedule the solver can hit.
-std::optional<ScheduleResult> heuristic_fallback(const RematProblem& problem,
-                                                 double budget_bytes) {
+// failure and fault schedule the solver can hit. A query's cost cap
+// (Eq. 10) binds here exactly as it binds the MILP: over-cap candidates
+// are dropped.
+std::optional<ScheduleResult> heuristic_fallback(
+    const RematProblem& problem, double budget_bytes,
+    const std::optional<double>& cost_cap) {
   std::optional<ScheduleResult> best;
   auto offer = [&](const RematSolution& sol) {
     ScheduleResult eval = evaluate_schedule_against(problem, sol, budget_bytes);
     if (!eval.feasible) return;
+    if (cost_cap && eval.cost > *cost_cap + 1e-9 * std::max(1.0, *cost_cap))
+      return;
     if (!best || eval.cost < best->cost) best = std::move(eval);
   };
   offer(baselines::checkpoint_all_schedule(problem));
@@ -84,11 +79,12 @@ std::optional<ScheduleResult> heuristic_fallback(const RematProblem& problem,
 // whose deadline expired while waiting).
 PlanOutcome heuristic_or_infeasible(const RematProblem& problem,
                                     double budget_bytes,
+                                    const IlpSolveOptions& options,
                                     std::string degradation) {
   PlanOutcome out;
   out.memory_floor_bytes = problem.memory_floor();
   const double ideal = problem.total_cost_all_nodes();
-  if (auto fb = heuristic_fallback(problem, budget_bytes)) {
+  if (auto fb = heuristic_fallback(problem, budget_bytes, options.cost_cap)) {
     out.provenance = PlanProvenance::kHeuristicFallback;
     out.result = std::move(*fb);
     out.lower_bound = ideal;
@@ -215,7 +211,7 @@ std::shared_ptr<CacheEntry> PlanService::acquire(
 void PlanService::ensure_presolve(CacheEntry& entry,
                                   double reference_budget_bytes,
                                   const IlpSolveOptions& options) {
-  if (!options.presolve || !opts_.reuse_presolve) return;
+  if (!options.presolve) return;
   // Artifacts presolved at budget B are sound for any budget <= B (the
   // clamp only shrinks the feasible set); only a larger budget forces a
   // fresh pass.
@@ -236,33 +232,26 @@ void PlanService::ensure_presolve(CacheEntry& entry,
 ScheduleResult PlanService::solve_locked(CacheEntry& entry,
                                          double budget_bytes,
                                          const IlpSolveOptions& options_in,
-                                         int tree_threads,
                                          double known_lower_bound) {
-  // The query's share of the service thread budget feeds the in-solve
-  // parallel tree search unless the caller pinned num_threads explicitly.
-  // Either way the answer is identical (epoch-lockstep determinism); only
-  // wall-clock attribution changes. <= 0 covers both 0 (auto) and negative
-  // requests: letting a negative through would reach resolve_tree_threads'
-  // auto path and grab every hardware thread per query, outside the
-  // service budget. The share itself is clamped to >= 1 -- when queries
-  // outnumber budgeted threads the integer split budget/Q rounds to zero,
-  // and a zero-thread solve must still run single-threaded rather than
-  // fall through to the auto path.
+  // The service thread budget feeds the in-solve parallel tree search
+  // unless the caller pinned num_threads explicitly. Either way the answer
+  // is identical (epoch-lockstep determinism); only wall-clock time
+  // changes. <= 0 covers both 0 (auto) and negative requests: letting a
+  // negative through would reach resolve_tree_threads' auto path and grab
+  // every hardware thread, outside the service budget.
   IlpSolveOptions options = options_in;
-  if (options.num_threads <= 0) options.num_threads = std::max(1, tree_threads);
+  if (options.num_threads <= 0) options.num_threads = thread_budget();
   {
     std::lock_guard lock(stats_mu_);
     ++stats_.queries;
   }
   const RematProblem& problem = entry.problem;
-  if (budget_bytes < problem.memory_floor())
-    return floor_infeasible(problem);
 
   // A chained schedule's memory use is budget-independent, so it is
   // feasible here iff its simulated peak fits this budget. (The chain is
   // only maintained for the partitioned form; unpartitioned queries solve
   // objective-only and return no schedule.)
-  const bool chain_fits = opts_.chain_warm_starts && options.partitioned &&
+  const bool chain_fits = options.partitioned &&
                           entry.chain_solution.has_value() &&
                           entry.chain_peak_bytes <= budget_bytes;
 
@@ -317,8 +306,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
   // its proven bound is still a valid lower bound -- branch & bound may
   // stop as soon as any incumbent lands within *this query's* gap of it,
   // instead of re-proving the bound through the dual plateau.
-  if (opts_.chain_warm_starts && options.partitioned &&
-      entry.chain_solution.has_value() &&
+  if (options.partitioned && entry.chain_solution.has_value() &&
       budget_bytes <= entry.chain_budget_bytes)
     reuse.known_lower_bound_cost = entry.chain_best_bound;
   // An externally proven bound (a store-carried staircase dual bound) is
@@ -327,7 +315,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
       std::max(reuse.known_lower_bound_cost, known_lower_bound);
 
   lp::LinearProgram clamped;
-  if (options.presolve && opts_.reuse_presolve && entry.has_presolve) {
+  if (options.presolve && entry.has_presolve) {
     if (entry.presolve_stats.proven_infeasible) {
       // Proven infeasible at a budget >= this one; the subset relation
       // settles every smaller budget too.
@@ -361,18 +349,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
   }
 
   ScheduleResult res = solve_ilp_on_formulation(*entry.form, options, reuse);
-  {
-    std::lock_guard lock(stats_mu_);
-    stats_.lp_refactorizations += res.lp_refactorizations;
-    stats_.lp_ft_updates += res.lp_ft_updates;
-    stats_.lp_ft_growth_refactors += res.lp_ft_growth_refactors;
-    stats_.lp_eta_pivots += res.lp_eta_pivots;
-    stats_.lp_pricing_resets += res.lp_pricing_resets;
-    stats_.gomory_cuts += res.gomory_cuts;
-    stats_.cuts_removed += res.cuts_removed;
-  }
-
-  if (opts_.chain_warm_starts && options.partitioned && res.feasible &&
+  if (options.partitioned && res.feasible &&
       res.milp_status == milp::MilpStatus::kOptimal) {
     entry.chain_solution = res.solution;
     entry.chain_budget_bytes = budget_bytes;
@@ -383,187 +360,25 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
   return res;
 }
 
-ScheduleResult PlanService::plan(const RematProblem& problem,
-                                 double budget_bytes,
-                                 const IlpSolveOptions& options) {
-  return plan_internal(problem, budget_bytes, options, -lp::kInf);
-}
-
-ScheduleResult PlanService::plan_internal(const RematProblem& problem,
-                                          double budget_bytes,
-                                          const IlpSolveOptions& options,
-                                          double known_lower_bound) {
-  if (budget_bytes <= 0.0 || budget_bytes < problem.memory_floor()) {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.queries;
-    return floor_infeasible(problem);
-  }
-  auto entry = acquire(problem, budget_bytes, options);
-  std::lock_guard lock(entry->mu);
-  // A lone query owns the whole budget.
-  return solve_locked(*entry, budget_bytes, options, thread_budget(),
-                      known_lower_bound);
-}
-
-std::vector<ScheduleResult> PlanService::sweep(
-    const RematProblem& problem, const std::vector<double>& budgets,
-    const IlpSolveOptions& options) {
-  std::vector<ScheduleResult> out(budgets.size());
-  if (budgets.empty()) return out;
-
-  // Descending solve order: the largest budget solves first (and
-  // cheapest), then each point inherits its predecessor's optimum outright
-  // whenever that schedule's peak still fits (flat regions of the
-  // overhead-vs-budget staircase), and otherwise reuses its proven bound
-  // as a termination certificate.
-  std::vector<size_t> order(budgets.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return budgets[a] > budgets[b];
-  });
-  const double max_budget = budgets[order.front()];
-  if (max_budget <= 0.0) {
-    for (auto& r : out) r = floor_infeasible(problem);
-    std::lock_guard lock(stats_mu_);
-    stats_.queries += static_cast<int64_t>(budgets.size());
-    return out;
-  }
-
-  auto entry = acquire(problem, max_budget, options);
-  std::lock_guard lock(entry->mu);
-  // Presolve once at the sweep's largest budget; every point below reuses
-  // the artifacts through the U-bound clamp.
-  ensure_presolve(*entry, max_budget, options);
-  // Sweep points share one cache entry and run serially, so each solve
-  // gets the full budget as tree workers. A finite query deadline is
-  // re-apportioned before every point (remaining / points left).
-  size_t left = order.size();
-  for (size_t idx : order) {
-    out[idx] =
-        solve_locked(*entry, budgets[idx], apportion_deadline(options, left),
-                     thread_budget(), -lp::kInf);
-    --left;
-  }
-  return out;
-}
-
-std::vector<ScheduleResult> PlanService::plan_many(
-    const std::vector<PlanQuery>& queries) {
-  std::vector<ScheduleResult> out(queries.size());
-
-  // Group by cache identity (problem fingerprint + formulation shape):
-  // different groups are independent and run concurrently; queries within
-  // a group share a formulation, so they run as one ascending chained
-  // sweep on a single worker.
-  struct Group {
-    std::vector<size_t> indices;
-    double max_budget = 0.0;
-  };
-  std::unordered_map<FormulationKey, Group, FormulationKeyHash> groups;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const PlanQuery& q = queries[i];
-    if (q.problem == nullptr) {
-      out[i].message = "plan_many: null problem";
-      continue;
-    }
-    if (q.budget_bytes <= 0.0 ||
-        q.budget_bytes < q.problem->memory_floor()) {
-      out[i] = floor_infeasible(*q.problem);
-      std::lock_guard lock(stats_mu_);
-      ++stats_.queries;
-      continue;
-    }
-    FormulationKey key;
-    key.problem_fingerprint = q.problem->fingerprint();
-    key.partitioned = q.options.partitioned;
-    key.eliminate_diag_free = q.options.eliminate_diag_free;
-    key.formulation = q.options.formulation;
-    key.has_cost_cap = q.options.cost_cap.has_value();
-    key.cost_cap = q.options.cost_cap.value_or(0.0);
-    Group& g = groups[key];
-    g.indices.push_back(i);
-    g.max_budget = std::max(g.max_budget, q.budget_bytes);
-  }
-
-  auto run_group = [this, &queries, &out](const Group& g, int tree_threads) {
-    // Descending chained order, as in sweep().
-    std::vector<size_t> order = g.indices;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return queries[a].budget_bytes > queries[b].budget_bytes;
-    });
-    try {
-      auto entry = acquire(*queries[order.front()].problem, g.max_budget,
-                           queries[order.front()].options);
-      std::lock_guard lock(entry->mu);
-      ensure_presolve(*entry, g.max_budget, queries[order.front()].options);
-      // Each query keeps its own deadline; a finite one is clamped to its
-      // share of what remains across this group's unfinished points.
-      size_t left = order.size();
-      for (size_t idx : order) {
-        out[idx] = solve_locked(*entry, queries[idx].budget_bytes,
-                                apportion_deadline(queries[idx].options, left),
-                                tree_threads, -lp::kInf);
-        --left;
-      }
-    } catch (const std::exception& e) {
-      for (size_t idx : order)
-        if (out[idx].message.empty())
-          out[idx].message = std::string("plan_many: ") + e.what();
-    }
-  };
-
-  const int budget = thread_budget();
-  if (groups.size() <= 1) {
-    for (auto& kv : groups) run_group(kv.second, budget);
-    return out;
-  }
-  // Split the budget between the two levels: query-level workers take as
-  // many groups as fit, and whatever remains per worker goes to the
-  // in-solve tree search (a 2-group batch on 8 cores runs 2 queries x 4
-  // tree workers; 16 groups on 8 cores run 8 x 1). The pool is sized once
-  // from the BUDGET (service lifetime, created under a lock -- plan_many
-  // may be called from concurrent threads); each batch then divides the
-  // budget by its own ACTIVE worker count, so neither a small first batch
-  // nor a small later batch pins the split. Per-solve shares beyond the
-  // tree search's epoch width are clamped by resolve_tree_threads -- with
-  // fewer groups than budgeted cores the surplus is inherently unusable.
-  {
-    std::lock_guard lock(pool_mu_);
-    if (!pool_) {
-      const int q = opts_.num_workers > 0 ? opts_.num_workers
-                                          : std::max(1, std::min(budget, 8));
-      pool_ = std::make_unique<SolvePool>(q);
-    }
-  }
-  const int active = std::min(pool_->num_workers(),
-                              static_cast<int>(groups.size()));
-  const int tree_threads = std::max(1, budget / std::max(1, active));
-  for (auto& kv : groups) {
-    const Group* g = &kv.second;
-    pool_->submit([&run_group, g, tree_threads] { run_group(*g, tree_threads); });
-  }
-  pool_->wait_idle();
-  return out;
-}
-
 PlanOutcome PlanService::plan_robust(const RematProblem& problem,
                                      double budget_bytes,
                                      const IlpSolveOptions& options) {
-  // Rung 0: the floor check is a proof -- nothing below can help, so it
-  // runs ahead of every admission mechanism (a certificate needs no
-  // dedup, no store and no solve slot).
+  // Rung 0: a budget below the structural memory floor (some single-stage
+  // working set alone exceeds it) is a *proof* of infeasibility -- nothing
+  // below can help, so it runs ahead of every admission mechanism (a
+  // certificate needs no dedup, no store and no solve slot) and is the
+  // only floor check on the query path.
   if (budget_bytes <= 0.0 || budget_bytes < problem.memory_floor()) {
     PlanOutcome out;
     out.memory_floor_bytes = problem.memory_floor();
     out.provenance = PlanProvenance::kInfeasible;
-    out.result = floor_infeasible(problem);
+    out.result = infeasible_result("budget below structural memory floor");
+    out.result.proven_infeasible = true;
+    out.result.memory_floor_bytes = out.memory_floor_bytes;
     out.lower_bound = lp::kInf;
     out.why_degraded = "budget below structural memory floor";
     return out;
   }
-
-  if (!opts_.single_flight)
-    return serve_or_solve(problem, budget_bytes, options);
 
   // Single-flight admission: identical concurrent queries coalesce onto
   // one solve. Identity is the full request content -- canonical problem
@@ -617,7 +432,7 @@ PlanOutcome PlanService::plan_robust(const RematProblem& problem,
     // Deadline/cancel while coalesced: the never-fail contract still
     // holds -- serve the heuristic rung rather than keep waiting.
     return heuristic_or_infeasible(
-        problem, budget_bytes,
+        problem, budget_bytes, options,
         options.cancel.cancelled()
             ? "query cancelled while coalesced behind an identical in-flight "
               "solve"
@@ -689,7 +504,7 @@ PlanOutcome PlanService::serve_or_solve(const RematProblem& problem,
     }
     if (!have_slot) {
       PlanOutcome shed = heuristic_or_infeasible(
-          problem, budget_bytes,
+          problem, budget_bytes, options,
           "admission overload: in-flight solve limit reached, heuristic "
           "fallback served");
       if (shed.provenance == PlanProvenance::kHeuristicFallback) {
@@ -755,8 +570,10 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
                       : "deadline expired before the solve started";
   } else {
     try {
+      auto entry = acquire(problem, budget_bytes, options);
+      std::lock_guard lock(entry->mu);
       ScheduleResult res =
-          plan_internal(problem, budget_bytes, options, known_lower_bound);
+          solve_locked(*entry, budget_bytes, options, known_lower_bound);
       if (res.feasible) {
         out.result = std::move(res);
         out.lower_bound = std::max(ideal, out.result.best_bound);
@@ -796,7 +613,8 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
   // Rungs 3-4: heuristic fallback (every candidate simulator-validated
   // against the budget), else a non-proof kInfeasible with the floor as
   // context.
-  return heuristic_or_infeasible(problem, budget_bytes, std::move(degradation));
+  return heuristic_or_infeasible(problem, budget_bytes, options,
+                                 std::move(degradation));
 }
 
 std::vector<PlanOutcome> PlanService::sweep_robust(
@@ -804,9 +622,9 @@ std::vector<PlanOutcome> PlanService::sweep_robust(
     const IlpSolveOptions& options) {
   std::vector<PlanOutcome> out(budgets.size());
   if (budgets.empty()) return out;
-  // Descending budget order keeps the cache chaining effective (each
-  // plan_robust call lands on the shared entry through plan()); the
-  // remaining deadline is re-apportioned before every point.
+  // Descending budget order keeps the cache chaining effective: the first
+  // point presolves at the largest budget and every later point reuses the
+  // artifacts and inherits or warm-starts from its predecessor's optimum.
   std::vector<size_t> order(budgets.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -827,15 +645,3 @@ ServiceStats PlanService::stats() const {
 }
 
 }  // namespace checkmate::service
-
-namespace checkmate {
-
-// Declared in core/scheduler.h; defined here so the core layer does not
-// depend on service headers.
-std::vector<ScheduleResult> Scheduler::solve_budget_sweep(
-    const std::vector<double>& budgets, const IlpSolveOptions& options) const {
-  service::PlanService svc;
-  return svc.sweep(problem_, budgets, options);
-}
-
-}  // namespace checkmate

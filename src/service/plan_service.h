@@ -25,13 +25,9 @@
 //     the bound through the dual plateau; fitting chained optima are also
 //     injected as starting incumbents;
 //   - a chained optimum whose cost equals the compute floor (every
-//     operation exactly once) short-circuits larger budgets the same way;
-//   - a fixed-size worker pool solves independent queries (different
-//     models, or different formulation shapes) concurrently. Queries
-//     sharing a cache entry are serialized and chained instead.
+//     operation exactly once) short-circuits larger budgets the same way.
 //
-// Admission control (plan_robust / sweep_robust only; plain plan() stays
-// a direct cache query):
+// Admission control, ahead of the cache:
 //
 //   - disk-backed plan store: with store_dir set, proven optima are
 //     persisted crash-safely (src/store/plan_store.h) and served across
@@ -50,14 +46,17 @@
 //     instead of queueing without bound. Shedding never invents an
 //     infeasibility -- if no heuristic fits, the query takes a slot.
 //
-// Determinism: every query keeps its own MilpOptions -- including the
-// deterministic max_lp_iterations work limit -- and its own simplex
-// engine, so answers are independent of worker count and arrival order
-// within a chain group (groups are internally solved in ascending budget
-// order regardless of submission order).
+// Concurrency and determinism: the service is thread-safe. Queries on
+// different cache entries run concurrently on the caller's threads;
+// queries sharing an entry are serialized by its mutex and chained. Every
+// query keeps its own MilpOptions -- including the deterministic
+// max_lp_iterations work limit -- and its own simplex engine, and the
+// in-solve tree search is epoch-lockstep, so a given query sequence gets
+// the same answers whatever the thread budget.
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -65,7 +64,6 @@
 #include "core/remat_problem.h"
 #include "core/scheduler.h"
 #include "service/formulation_cache.h"
-#include "service/solve_pool.h"
 
 namespace checkmate::store {
 class PlanStore;
@@ -75,34 +73,20 @@ struct StoreShape;
 namespace checkmate::service {
 
 struct PlanServiceOptions {
-  // Global thread budget shared by BOTH levels of parallelism: SolvePool
-  // query-level workers (plan_many groups) and per-solve tree-search
-  // workers inside each MILP (milp/branch_and_bound.h). 0 = one per
-  // hardware thread. A lone hard query (plan / sweep) gets the whole
-  // budget as tree workers; a plan_many batch splits it as
-  //   query workers Q = min(#groups, budget, 8)   (unless num_workers set)
-  //   tree workers per solve = max(1, budget / Q)
-  // Determinism is unaffected either way: the tree search is epoch-
-  // lockstep (identical nodes/incumbents for any worker count) and query
-  // groups are independent, so the budget only moves wall-clock time.
+  // Worker threads for each query's in-solve parallel tree search
+  // (milp/branch_and_bound.h) when the query leaves
+  // IlpSolveOptions::num_threads at 0. 0 = one per hardware thread. The
+  // tree search is epoch-lockstep (identical nodes/incumbents for any
+  // worker count), so this only moves wall-clock time.
   int num_threads = 0;
-  // Explicit override for the query-level worker count (plan_many). 0 =
-  // derive from the thread budget as above.
-  int num_workers = 0;
   // Cached formulations (LRU beyond this).
   size_t max_cache_entries = 16;
-  // Cache presolve artifacts across budgets (clamp instead of re-run).
-  bool reuse_presolve = true;
-  // Chain warm starts across budgets of the same problem.
-  bool chain_warm_starts = true;
   // Directory of the disk-backed plan store; empty disables persistence.
-  // Proven optima from plan_robust are written crash-safely and served --
-  // content-verified and simulator-validated -- across restarts.
+  // Proven optima are written crash-safely and served -- content-verified
+  // and simulator-validated -- across restarts.
   std::string store_dir;
-  // Coalesce concurrent identical plan_robust queries onto one solve.
-  bool single_flight = true;
-  // Cap on concurrent plan_robust MILP ladders; overflow sheds to the
-  // heuristic fallback (why_degraded names the overload). 0 = unbounded.
+  // Cap on concurrent MILP ladders; overflow sheds to the heuristic
+  // fallback (why_degraded names the overload). 0 = unbounded.
   size_t max_inflight_solves = 0;
 };
 
@@ -116,7 +100,7 @@ struct ServiceStats {
   int64_t warm_starts_injected = 0;  // adjacent optima handed to B&B
   int64_t warm_start_shortcuts = 0;  // solves skipped: chained optimum at the compute floor
   int64_t evictions = 0;
-  // Admission-layer counters (plan_robust only). A store hit or a shared
+  // Admission-layer counters. A store hit or a shared
   // single-flight outcome does NOT count as a query: `queries` keeps its
   // meaning of "solves the cache actually answered".
   int64_t store_hits = 0;            // plans served from the disk store
@@ -125,25 +109,6 @@ struct ServiceStats {
   int64_t store_put_failures = 0;    // absorbed store write failures
   int64_t single_flight_shared = 0;  // followers served a leader's outcome
   int64_t shed_overload = 0;         // queries shed to the heuristic rung
-  // Cumulative LP-engine observability over every MILP solve the service
-  // ran (ScheduleResult pass-throughs summed): basis refactorizations,
-  // Forrest-Tomlin updates, spike/eta-growth-forced refactorizations,
-  // product-form eta pivots (nonzero only with FT disabled), partial-
-  // pricing candidate-list rebuilds, and Gomory cut rows added / cut rows
-  // later deleted by in-LP aging.
-  int64_t lp_refactorizations = 0;
-  int64_t lp_ft_updates = 0;
-  int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_eta_pivots = 0;
-  int64_t lp_pricing_resets = 0;
-  int64_t gomory_cuts = 0;
-  int64_t cuts_removed = 0;
-};
-
-struct PlanQuery {
-  const RematProblem* problem = nullptr;  // must outlive the call
-  double budget_bytes = 0.0;
-  IlpSolveOptions options;
 };
 
 // Where a robust query's plan came from, in strictly degrading order. The
@@ -188,35 +153,22 @@ class PlanService {
   PlanService(const PlanService&) = delete;
   PlanService& operator=(const PlanService&) = delete;
 
-  // One query through the cache. Identical (proven-optimal) objective to
-  // Scheduler::solve_optimal_ilp with the same options.
-  ScheduleResult plan(const RematProblem& problem, double budget_bytes,
-                      const IlpSolveOptions& options = {});
-
-  // Budget sweep over one model: solved in descending budget order with
-  // optimum inheritance and warm-start chaining, presolved once at the
-  // largest budget; results returned in the caller's order.
-  std::vector<ScheduleResult> sweep(const RematProblem& problem,
-                                    const std::vector<double>& budgets,
-                                    const IlpSolveOptions& options = {});
-
-  // Independent queries (many models and/or many budgets). Queries are
-  // grouped by cache entry; groups run concurrently on the worker pool and
-  // each group runs as a descending chained sweep. Results come back in
-  // submission order.
-  std::vector<ScheduleResult> plan_many(const std::vector<PlanQuery>& queries);
-
-  // Never-fail variants: the fallback ladder of PlanProvenance. A query
-  // whose MILP completes returns the proven optimum; a truncated search
-  // (deadline, work limits, cancellation) returns its best incumbent with
-  // the true gap; a search that produced nothing (or died on a fault)
-  // falls back to the cheapest simulator-validated baseline schedule; only
-  // a *proof* that no plan exists yields kInfeasible. Set
-  // options.deadline / options.cancel to bound the query; sweep_robust
-  // re-apportions the remaining deadline across its points so one slow
-  // instance cannot starve the rest.
+  // One query through the admission layer and the cache, down the
+  // fallback ladder of PlanProvenance. A query whose MILP completes returns
+  // the proven optimum -- the same objective as Scheduler::solve_optimal_ilp
+  // with the same options; a truncated search (deadline, work limits,
+  // cancellation) returns its best incumbent with the true gap; a search
+  // that produced nothing (or died on a fault) falls back to the cheapest
+  // simulator-validated baseline schedule within options.cost_cap; only a
+  // *proof* that no plan exists yields kInfeasible. Set options.deadline /
+  // options.cancel to bound the query.
   PlanOutcome plan_robust(const RematProblem& problem, double budget_bytes,
                           const IlpSolveOptions& options = {});
+  // Budget sweep over one model (the Figure 5 workload): plan_robust per
+  // point in descending budget order, so each point lands on the previous
+  // point's cache entry, presolve artifacts and warm-start chain. The
+  // remaining deadline is re-apportioned across the points so one slow
+  // point cannot starve the rest; results come back in the caller's order.
   std::vector<PlanOutcome> sweep_robust(const RematProblem& problem,
                                         const std::vector<double>& budgets,
                                         const IlpSolveOptions& options = {});
@@ -228,7 +180,7 @@ class PlanService {
   store::PlanStore* plan_store() const { return store_.get(); }
 
  private:
-  // One in-flight plan_robust solve; followers with an identical query
+  // One in-flight solve; followers with an identical query
   // block on `cv` and share `outcome`. The key that routes to a Flight is
   // a 64-bit hash; blob/budget/gap/shape are re-checked on join so a
   // collision solves solo instead of sharing a stranger's plan.
@@ -241,20 +193,13 @@ class PlanService {
   // do not already cover it. Entry mutex must be held.
   void ensure_presolve(CacheEntry& entry, double reference_budget_bytes,
                        const IlpSolveOptions& options);
-  // Answers one query against a locked entry. `tree_threads` is this
-  // query's share of the service thread budget; it only applies when the
-  // query left IlpSolveOptions::num_threads at 0 (auto).
-  // `known_lower_bound` (-inf when absent) is an externally proven lower
-  // bound on this query's optimum -- e.g. a store-carried dual bound --
-  // merged into the solve's termination certificate.
+  // Answers one query against a locked entry. `known_lower_bound` (-inf
+  // when absent) is an externally proven lower bound on this query's
+  // optimum -- e.g. a store-carried dual bound -- merged into the solve's
+  // termination certificate.
   ScheduleResult solve_locked(CacheEntry& entry, double budget_bytes,
-                              const IlpSolveOptions& options, int tree_threads,
+                              const IlpSolveOptions& options,
                               double known_lower_bound);
-  // plan() with an external lower bound threaded through to solve_locked.
-  ScheduleResult plan_internal(const RematProblem& problem,
-                               double budget_bytes,
-                               const IlpSolveOptions& options,
-                               double known_lower_bound);
   // The fallback ladder behind plan_robust, after the floor check and the
   // admission layer (store lookup, single-flight, overload shedding).
   PlanOutcome plan_robust_ladder(const RematProblem& problem,
@@ -264,13 +209,11 @@ class PlanService {
   // Store lookup -> admission slot (or shed) -> ladder -> store put.
   PlanOutcome serve_or_solve(const RematProblem& problem, double budget_bytes,
                              const IlpSolveOptions& options);
-  // The resolved service-wide thread budget (>= 1).
+  // The resolved per-query tree-worker count (>= 1).
   int thread_budget() const;
 
   PlanServiceOptions opts_;
   FormulationCache cache_;
-  std::mutex pool_mu_;               // guards pool_ creation
-  std::unique_ptr<SolvePool> pool_;  // created lazily by plan_many
 
   std::unique_ptr<store::PlanStore> store_;  // null unless store_dir set
   std::mutex admission_mu_;  // guards inflight_ and active_solves_

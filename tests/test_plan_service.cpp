@@ -1,11 +1,10 @@
 // Plan service: problem fingerprints, formulation-cache budget rebinds,
-// presolve-artifact clamping, warm-start chaining and the worker pool.
+// presolve-artifact clamping, warm-start chaining and the thread budget.
 #include "service/plan_service.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 
 #include "core/ilp_builder.h"
 #include "core/remat_problem.h"
@@ -119,20 +118,22 @@ TEST(PlanService, SweepMatchesColdSolvesAndIsMonotone) {
   const std::vector<double> budgets = {5.0, 6.0, 8.0, 11.0};
 
   service::PlanService svc;
-  const auto swept = svc.sweep(p, budgets, fast_opts());
+  const auto swept = svc.sweep_robust(p, budgets, fast_opts());
   ASSERT_EQ(swept.size(), budgets.size());
 
   double prev_cost = lp::kInf;
   for (size_t i = 0; i < budgets.size(); ++i) {
     const auto cold = sched.solve_optimal_ilp(budgets[i], fast_opts());
-    ASSERT_TRUE(swept[i].feasible) << swept[i].message;
-    ASSERT_EQ(swept[i].milp_status, milp::MilpStatus::kOptimal);
+    const ScheduleResult& got = swept[i].result;
+    ASSERT_TRUE(got.feasible) << got.message;
+    ASSERT_EQ(swept[i].provenance, service::PlanProvenance::kProvenOptimal);
+    ASSERT_EQ(got.milp_status, milp::MilpStatus::kOptimal);
     ASSERT_EQ(cold.milp_status, milp::MilpStatus::kOptimal);
     // Identical proven-optimal objective at every point.
-    EXPECT_NEAR(swept[i].cost, cold.cost, 1e-6) << "budget " << budgets[i];
+    EXPECT_NEAR(got.cost, cold.cost, 1e-6) << "budget " << budgets[i];
     // Chaining must preserve monotonicity: more memory never costs more.
-    EXPECT_LE(swept[i].cost, prev_cost + 1e-9);
-    prev_cost = swept[i].cost;
+    EXPECT_LE(got.cost, prev_cost + 1e-9);
+    prev_cost = got.cost;
   }
 
   const auto st = svc.stats();
@@ -146,12 +147,12 @@ TEST(PlanService, SweepResultsComeBackInCallerOrder) {
   auto p = RematProblem::unit_training_chain(5);
   const std::vector<double> shuffled = {9.0, 5.0, 12.0, 6.0};
   service::PlanService svc;
-  const auto res = svc.sweep(p, shuffled, fast_opts());
+  const auto res = svc.sweep_robust(p, shuffled, fast_opts());
   ASSERT_EQ(res.size(), shuffled.size());
   Scheduler sched(p);
   for (size_t i = 0; i < shuffled.size(); ++i) {
-    ASSERT_EQ(res[i].milp_status, milp::MilpStatus::kOptimal);
-    EXPECT_NEAR(res[i].cost,
+    ASSERT_EQ(res[i].result.milp_status, milp::MilpStatus::kOptimal);
+    EXPECT_NEAR(res[i].result.cost,
                 sched.solve_optimal_ilp(shuffled[i], fast_opts()).cost, 1e-6);
   }
 }
@@ -159,8 +160,8 @@ TEST(PlanService, SweepResultsComeBackInCallerOrder) {
 TEST(PlanService, RepeatedPlansHitTheFormulationCache) {
   auto p = RematProblem::unit_training_chain(5);
   service::PlanService svc;
-  const auto a = svc.plan(p, 12.0, fast_opts());
-  const auto b = svc.plan(p, 6.0, fast_opts());
+  const auto a = svc.plan_robust(p, 12.0, fast_opts()).result;
+  const auto b = svc.plan_robust(p, 6.0, fast_opts()).result;
   ASSERT_EQ(a.milp_status, milp::MilpStatus::kOptimal);
   ASSERT_EQ(b.milp_status, milp::MilpStatus::kOptimal);
   EXPECT_GE(b.cost, a.cost);
@@ -179,8 +180,8 @@ TEST(PlanService, CostCapIsPartOfTheCacheKey) {
   service::PlanService svc;
   IlpSolveOptions capped = fast_opts();
   capped.cost_cap = 2.0 * p.forward_cost() + p.backward_cost();
-  (void)svc.plan(p, 9.0, fast_opts());
-  (void)svc.plan(p, 9.0, capped);
+  (void)svc.plan_robust(p, 9.0, fast_opts());
+  (void)svc.plan_robust(p, 9.0, capped);
   const auto st = svc.stats();
   EXPECT_EQ(st.formulation_misses, 2);
   EXPECT_EQ(st.formulation_hits, 0);
@@ -189,9 +190,10 @@ TEST(PlanService, CostCapIsPartOfTheCacheKey) {
 TEST(PlanService, BelowFloorBudgetIsInfeasibleWithoutABuild) {
   auto p = RematProblem::unit_training_chain(4);
   service::PlanService svc;
-  const auto res = svc.plan(p, 0.5 * p.memory_floor(), fast_opts());
-  EXPECT_FALSE(res.feasible);
-  EXPECT_EQ(res.milp_status, milp::MilpStatus::kInfeasible);
+  const auto out = svc.plan_robust(p, 0.5 * p.memory_floor(), fast_opts());
+  EXPECT_EQ(out.provenance, service::PlanProvenance::kInfeasible);
+  EXPECT_FALSE(out.result.feasible);
+  EXPECT_EQ(out.result.milp_status, milp::MilpStatus::kInfeasible);
   EXPECT_EQ(svc.cache_size(), 0u);
 }
 
@@ -203,48 +205,13 @@ TEST(PlanService, GenerousBudgetsInheritTheChainedOptimum) {
   const double total = p.total_memory();
   service::PlanService svc;
   const auto res =
-      svc.sweep(p, {0.7 * total, 0.8 * total, 0.9 * total, total},
-                fast_opts());
+      svc.sweep_robust(p, {0.7 * total, 0.8 * total, 0.9 * total, total},
+                       fast_opts());
   for (const auto& r : res) {
-    ASSERT_EQ(r.milp_status, milp::MilpStatus::kOptimal);
-    EXPECT_NEAR(r.overhead, 1.0, 1e-9);
+    ASSERT_EQ(r.result.milp_status, milp::MilpStatus::kOptimal);
+    EXPECT_NEAR(r.result.overhead, 1.0, 1e-9);
   }
   EXPECT_GE(svc.stats().warm_start_shortcuts, 3);
-}
-
-TEST(PlanService, PlanManyMatchesSequentialAcrossWorkerCounts) {
-  const auto pa = RematProblem::unit_training_chain(4);
-  const auto pb = RematProblem::unit_training_chain(5);
-  std::vector<service::PlanQuery> queries;
-  for (double budget : {9.0, 5.0, 7.0})
-    queries.push_back({&pa, budget, fast_opts()});
-  for (double budget : {11.0, 6.0})
-    queries.push_back({&pb, budget, fast_opts()});
-
-  service::PlanServiceOptions solo;
-  solo.num_workers = 1;
-  service::PlanService svc_solo(solo);
-  service::PlanServiceOptions wide;
-  wide.num_workers = 4;
-  service::PlanService svc_wide(wide);
-
-  const auto r1 = svc_solo.plan_many(queries);
-  const auto r4 = svc_wide.plan_many(queries);
-  ASSERT_EQ(r1.size(), queries.size());
-  ASSERT_EQ(r4.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(r1[i].milp_status, milp::MilpStatus::kOptimal) << i;
-    ASSERT_EQ(r4[i].milp_status, milp::MilpStatus::kOptimal) << i;
-    // Worker count must not change any answer.
-    EXPECT_NEAR(r1[i].cost, r4[i].cost, 1e-9) << i;
-    Scheduler sched(*queries[i].problem);
-    EXPECT_NEAR(
-        r1[i].cost,
-        sched.solve_optimal_ilp(queries[i].budget_bytes, fast_opts()).cost,
-        1e-6)
-        << i;
-  }
-  EXPECT_EQ(svc_wide.stats().formulation_misses, 2);  // one per model
 }
 
 TEST(PlanService, LruEvictionKeepsAnswersCorrect) {
@@ -253,9 +220,10 @@ TEST(PlanService, LruEvictionKeepsAnswersCorrect) {
   service::PlanServiceOptions tiny;
   tiny.max_cache_entries = 1;
   service::PlanService svc(tiny);
-  const auto a1 = svc.plan(pa, 9.0, fast_opts());
-  const auto b1 = svc.plan(pb, 11.0, fast_opts());
-  const auto a2 = svc.plan(pa, 9.0, fast_opts());  // rebuilt after eviction
+  const auto a1 = svc.plan_robust(pa, 9.0, fast_opts()).result;
+  const auto b1 = svc.plan_robust(pb, 11.0, fast_opts()).result;
+  // Rebuilt after eviction.
+  const auto a2 = svc.plan_robust(pa, 9.0, fast_opts()).result;
   ASSERT_EQ(a1.milp_status, milp::MilpStatus::kOptimal);
   ASSERT_EQ(b1.milp_status, milp::MilpStatus::kOptimal);
   ASSERT_EQ(a2.milp_status, milp::MilpStatus::kOptimal);
@@ -266,82 +234,32 @@ TEST(PlanService, LruEvictionKeepsAnswersCorrect) {
   EXPECT_EQ(svc.cache_size(), 1u);
 }
 
-TEST(SolvePool, AutoWorkerCountIsAlwaysPositive) {
-  // Regression: std::thread::hardware_concurrency() may legally return 0
-  // (containers, exotic platforms); a zero-worker pool would deadlock every
-  // wait_idle(). resolve_worker_count must guarantee >= 1 for any request,
-  // and 0/negative requests select the auto value instead of a 1-thread
-  // floor clamping.
-  EXPECT_GE(service::SolvePool::resolve_worker_count(0), 1);
-  EXPECT_LE(service::SolvePool::resolve_worker_count(0), 8);
-  EXPECT_GE(service::SolvePool::resolve_worker_count(-4), 1);
-  EXPECT_EQ(service::SolvePool::resolve_worker_count(3), 3);
-  EXPECT_EQ(service::SolvePool::resolve_worker_count(17), 17);  // explicit wins
-
-  service::SolvePool auto_pool(0);
-  EXPECT_GE(auto_pool.num_workers(), 1);
-  std::atomic<int> ran{0};
-  auto_pool.submit([&ran] { ran.fetch_add(1); });
-  auto_pool.wait_idle();  // would hang forever with zero workers
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(PlanService, ManyGroupsOnTinyThreadBudgetStaysDeterministic) {
-  // Q >> threads regression, companion to the hardware_concurrency()==0
-  // guard above: with far more query groups than budgeted threads, the
-  // per-solve share budget/Q truncates to zero. solve_locked must clamp
-  // that to one tree worker -- and must route non-positive shares through
-  // the clamp rather than the "0 = auto" path, which would hand every
-  // solve a full hardware thread count outside the service budget (and on
-  // hardware_concurrency()==0 platforms, nondeterministically so).
-  std::vector<RematProblem> problems;
-  std::vector<double> budgets;
-  for (int layers = 2; layers <= 9; ++layers) {
-    problems.push_back(RematProblem::unit_training_chain(layers));
-    budgets.push_back(layers + 2.0);  // tight-ish but feasible
-  }
-  std::vector<service::PlanQuery> queries;
-  for (size_t i = 0; i < problems.size(); ++i)  // 8 distinct groups
-    queries.push_back({&problems[i], budgets[i], fast_opts()});
-
-  service::PlanServiceOptions tiny;
-  tiny.num_threads = 2;  // Q = 8 groups >> 2 budgeted threads
-  service::PlanService svc(tiny);
-  const auto got = svc.plan_many(queries);
-
-  service::PlanServiceOptions solo;
-  solo.num_threads = 1;
-  service::PlanService svc_solo(solo);
-  ASSERT_EQ(got.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(got[i].milp_status, milp::MilpStatus::kOptimal) << i;
-    const auto ref = svc_solo.plan(*queries[i].problem,
-                                   queries[i].budget_bytes, fast_opts());
-    ASSERT_EQ(ref.milp_status, milp::MilpStatus::kOptimal) << i;
-    EXPECT_EQ(got[i].cost, ref.cost) << i;
-    EXPECT_EQ(got[i].nodes, ref.nodes) << i;
-    EXPECT_EQ(got[i].lp_iterations, ref.lp_iterations) << i;
-  }
-
-  // A query that explicitly asks for a negative worker count gets the
-  // single-thread clamp too, not the auto-all-cores path. Both services
-  // fresh: svc_solo would answer this repeat query from its warm-start
-  // chain (nodes == 0) instead of solving.
+TEST(PlanService, NegativeQueryThreadCountGetsTheServiceBudget) {
+  // A query that explicitly asks for a negative worker count must get the
+  // service's thread budget, not resolve_tree_threads' auto-all-cores path
+  // (outside the budget, and on hardware_concurrency()==0 platforms
+  // nondeterministically sized). Both services fresh: a repeat query would
+  // answer from the warm-start chain (nodes == 0) instead of solving.
+  const auto p = RematProblem::unit_training_chain(6);
+  const double budget = 8.0;  // tight-ish but feasible
   service::PlanService svc_neg;
   IlpSolveOptions neg = fast_opts();
   neg.num_threads = -3;
-  const auto n = svc_neg.plan(problems[4], budgets[4], neg);
+  const auto n = svc_neg.plan_robust(p, budget, neg).result;
+  service::PlanServiceOptions solo;
+  solo.num_threads = 1;
   service::PlanService svc_ref(solo);
-  const auto r = svc_ref.plan(problems[4], budgets[4], fast_opts());
+  const auto r = svc_ref.plan_robust(p, budget, fast_opts()).result;
   ASSERT_EQ(n.milp_status, milp::MilpStatus::kOptimal);
   EXPECT_EQ(n.cost, r.cost);
   EXPECT_EQ(n.nodes, r.nodes);
+  EXPECT_EQ(n.lp_iterations, r.lp_iterations);
 }
 
 TEST(PlanService, ThreadBudgetDoesNotChangeAnswers) {
-  // The unified thread budget splits between query workers and in-solve
-  // tree workers; epoch-lockstep determinism means every split returns
-  // bit-identical plans and node counts.
+  // The thread budget sizes each query's in-solve tree search;
+  // epoch-lockstep determinism means every budget returns bit-identical
+  // plans and node counts.
   auto p = RematProblem::unit_training_chain(6);
   service::PlanServiceOptions solo;
   solo.num_threads = 1;
@@ -350,50 +268,24 @@ TEST(PlanService, ThreadBudgetDoesNotChangeAnswers) {
   wide.num_threads = 4;
   service::PlanService svc_wide(wide);
 
-  const auto a = svc_solo.plan(p, 5.0, fast_opts());
-  const auto b = svc_wide.plan(p, 5.0, fast_opts());
+  const auto a = svc_solo.plan_robust(p, 5.0, fast_opts()).result;
+  const auto b = svc_wide.plan_robust(p, 5.0, fast_opts()).result;
   ASSERT_EQ(a.milp_status, milp::MilpStatus::kOptimal);
   ASSERT_EQ(b.milp_status, milp::MilpStatus::kOptimal);
   EXPECT_EQ(a.cost, b.cost);
   EXPECT_EQ(a.nodes, b.nodes);
   EXPECT_EQ(a.lp_iterations, b.lp_iterations);
 
-  // An explicit per-query num_threads overrides the budget share and still
+  // An explicit per-query num_threads overrides the budget and still
   // changes nothing. (Fresh service: a repeat query against svc_wide would
   // legitimately answer from the warm-start chain without solving.)
   service::PlanService svc_pinned;
   IlpSolveOptions pinned = fast_opts();
   pinned.num_threads = 2;
-  const auto c = svc_pinned.plan(p, 5.0, pinned);
+  const auto c = svc_pinned.plan_robust(p, 5.0, pinned).result;
   ASSERT_EQ(c.milp_status, milp::MilpStatus::kOptimal);
   EXPECT_EQ(a.cost, c.cost);
   EXPECT_EQ(a.nodes, c.nodes);
-}
-
-TEST(SolvePool, RunsEveryJobAndWaitsIdle) {
-  service::SolvePool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 64; ++i)
-    pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 64);
-  // Reusable after a drain.
-  pool.submit([&counter] { counter.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 65);
-}
-
-TEST(SchedulerSweep, ConvenienceWrapperMatchesService) {
-  auto p = RematProblem::unit_training_chain(5);
-  Scheduler sched(p);
-  const std::vector<double> budgets = {6.0, 9.0, 12.0};
-  const auto swept = sched.solve_budget_sweep(budgets, fast_opts());
-  ASSERT_EQ(swept.size(), budgets.size());
-  for (size_t i = 0; i < budgets.size(); ++i) {
-    ASSERT_EQ(swept[i].milp_status, milp::MilpStatus::kOptimal);
-    EXPECT_NEAR(swept[i].cost,
-                sched.solve_optimal_ilp(budgets[i], fast_opts()).cost, 1e-6);
-  }
 }
 
 }  // namespace

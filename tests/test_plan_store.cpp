@@ -41,7 +41,7 @@ using testing::TempDir;
 // (store-less) service so the store tests control persistence themselves.
 ScheduleResult solve_fresh(const RematProblem& p, double budget) {
   service::PlanService svc;
-  ScheduleResult res = svc.plan(p, budget);
+  ScheduleResult res = svc.plan_robust(p, budget).result;
   EXPECT_TRUE(res.feasible);
   EXPECT_EQ(res.milp_status, milp::MilpStatus::kOptimal);
   return res;

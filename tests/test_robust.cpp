@@ -265,19 +265,46 @@ TEST(PlanRobust, Vgg16MidBudgetDeadlineOvershootBounded) {
 }
 
 // Deadline-free runs keep the bit-identity contract: the robust entry
-// point must not perturb the deterministic search.
-TEST(PlanRobust, DeadlineFreeMatchesPlainPlan) {
+// point, with its cached formulation and presolve artifacts, must not
+// perturb the deterministic search of a cold solve.
+TEST(PlanRobust, DeadlineFreeMatchesColdSolve) {
   auto p = RematProblem::unit_training_chain(8);
-  service::PlanService robust_svc;
-  service::PlanService plain_svc;
+  service::PlanService svc;
   const double budget = 7.0;
-  const auto out = robust_svc.plan_robust(p, budget);
-  const auto ref = plain_svc.plan(p, budget);
+  const auto out = svc.plan_robust(p, budget);
+  const auto ref = Scheduler(p).solve_optimal_ilp(budget);
   ASSERT_TRUE(ref.feasible);
   EXPECT_EQ(out.provenance, service::PlanProvenance::kProvenOptimal);
   EXPECT_DOUBLE_EQ(out.result.cost, ref.cost);
   EXPECT_EQ(out.result.nodes, ref.nodes);
   EXPECT_EQ(out.result.lp_iterations, ref.lp_iterations);
+}
+
+// The cost cap (Eq. 10) binds every rung, not just the MILP: a capped
+// query whose search is truncated before it finds a plan must not fall
+// back to a heuristic schedule above the cap. At the compute-floor cap and
+// a budget below checkpoint-all's peak, every baseline busts the cap.
+TEST(PlanRobust, HeuristicFallbackRespectsTheCostCap) {
+  auto p = RematProblem::unit_training_chain(8);
+  Scheduler sched(p);
+  const auto all = sched.evaluate_schedule(
+      baselines::checkpoint_all_schedule(p), 0.0);
+  ASSERT_TRUE(all.feasible);
+  const double budget = 0.5 * (p.memory_floor() + all.peak_memory);
+  ASSERT_LT(budget, all.peak_memory);
+
+  IlpSolveOptions opts;
+  opts.cost_cap = p.total_cost_all_nodes();
+  opts.max_lp_iterations = 1;
+  service::PlanService svc;
+  const auto out = svc.plan_robust(p, budget, opts);
+  if (out.result.feasible) {
+    EXPECT_LE(out.result.cost, *opts.cost_cap + 1e-9)
+        << service::to_string(out.provenance);
+  }
+  // Below the cap nothing fits, and the search proved nothing.
+  EXPECT_EQ(out.provenance, service::PlanProvenance::kInfeasible);
+  EXPECT_FALSE(out.result.proven_infeasible);
 }
 
 }  // namespace
