@@ -6,7 +6,8 @@
 // instead runs the solver-overhaul instance/config matrix once, writing
 // per-instance nodes, LP iterations and wall time to PATH (default
 // BENCH_solver.json). This seeds the performance trajectory across PRs and
-// documents the ablation (presolve off, branching rule, node selection).
+// documents the ablation (each switchable subsystem of the shipped
+// configuration turned off in turn, plus worker-count and backend rows).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -135,8 +136,8 @@ BENCHMARK(BM_CheckmateIlpSolveUnitChain)->Arg(4)->Arg(6)->Arg(8)
 
 // Ablation scenarios for the solver overhaul: arg encodes the knob flipped
 // off relative to the shipped configuration on the tight-budget chain.
-//   0: shipped (presolve + pseudocosts + hybrid)   1: presolve off
-//   2: most-fractional branching                   3: depth-first selection
+//   0: shipped (presolve + pseudocosts)   1: presolve off
+//   2: most-fractional branching
 void BM_CheckmateIlpSolveAblation(benchmark::State& state) {
   auto p = RematProblem::unit_training_chain(6);
   Scheduler sched(p);
@@ -145,7 +146,6 @@ void BM_CheckmateIlpSolveAblation(benchmark::State& state) {
   switch (state.range(0)) {
     case 1: opts.presolve = false; break;
     case 2: opts.pseudocost_branching = false; break;
-    case 3: opts.node_selection = milp::NodeSelection::kDepthFirst; break;
     default: break;
   }
   int64_t nodes = 0;
@@ -156,7 +156,7 @@ void BM_CheckmateIlpSolveAblation(benchmark::State& state) {
   }
   state.counters["bnb_nodes"] = static_cast<double>(nodes);
 }
-BENCHMARK(BM_CheckmateIlpSolveAblation)->DenseRange(0, 3)
+BENCHMARK(BM_CheckmateIlpSolveAblation)->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond)->Iterations(1);
 
 void BM_TwoPhaseRounding(benchmark::State& state) {
@@ -204,75 +204,53 @@ BENCHMARK(BM_PolicySimulationUnet);
 
 // ------------------------------------------------------------------ JSON
 
+// One row of the JSON matrix: the shipped configuration with at most one
+// subsystem switched off (every field defaults to the shipped value).
 struct SolverConfig {
   const char* name;
-  bool presolve;
-  bool pseudocost;
-  milp::NodeSelection node_selection;
-  int num_threads;
-  // LP hot-path knobs (PR 4): dual steepest-edge pricing + long-step
-  // bound-flip ratio test, and root reduced-cost fixing.
-  bool lp_hotpath = true;
-  bool rcfix = true;
-  // Branch & cut knobs (PR 5): cover/clique cut separation on the memory
-  // rows and reliability branching.
+  bool presolve = true;
+  bool pseudocost = true;
+  int num_threads = 1;
+  bool rcfix = true;  // root reduced-cost fixing
+  // Branch & cut: cover/clique cut separation on the memory rows and
+  // reliability branching.
   bool cuts = true;
   bool reliability = true;
-  // ILP backend (PR 6): dense Problem 9 vs the sparse retention-interval
+  // ILP backend: dense Problem 9 vs the sparse retention-interval
   // formulation, and whether the config runs on the deep-instance set.
   IlpFormulationKind formulation = IlpFormulationKind::kDense;
   bool big = false;
-  // LP-engine knobs (PR 10): Forrest-Tomlin basis updates, Curtis-Reid
-  // scaling, Gomory mixed-integer root cuts. Trailing so the positional
-  // rows above stay valid; the PR-10 ablation rows spell out every field.
-  bool ft_update = true;
+  // LP engine: Curtis-Reid scaling and Gomory mixed-integer root cuts.
   bool scaling = true;
   bool gomory = true;
 };
 
-// "seed" is the pre-overhaul configuration (most-fractional depth-first
-// search on the raw formulation, classic Dantzig pricing); the others each
-// flip one knob off the shipped configuration. threads2/threads4 are the
-// shipped configuration with more tree-search workers: the epoch-lockstep
-// determinism guarantee means their node counts MUST equal overhaul's
-// exactly (the CI gate in scripts/compare_bench.py enforces it), only
-// wall-clock may differ.
+// Each no_* row flips one knob off the shipped configuration ("overhaul").
+// threads2/threads4 are the shipped configuration with more tree-search
+// workers: the epoch-lockstep determinism guarantee means their node counts
+// MUST equal overhaul's exactly (the CI gate in scripts/compare_bench.py
+// enforces it), only wall-clock may differ.
 constexpr SolverConfig kConfigs[] = {
-    {"overhaul", true, true, milp::NodeSelection::kHybrid, 1},
-    {"threads2", true, true, milp::NodeSelection::kHybrid, 2},
-    {"threads4", true, true, milp::NodeSelection::kHybrid, 4},
-    {"no_presolve", false, true, milp::NodeSelection::kHybrid, 1},
-    {"no_pseudocost", true, false, milp::NodeSelection::kHybrid, 1},
-    {"depth_first", true, true, milp::NodeSelection::kDepthFirst, 1},
-    {"no_lp_hotpath", true, true, milp::NodeSelection::kHybrid, 1, false,
-     true},
-    {"no_rcfix", true, true, milp::NodeSelection::kHybrid, 1, true, false},
-    {"no_cuts", true, true, milp::NodeSelection::kHybrid, 1, true, true,
-     false, true},
-    {"no_reliability", true, true, milp::NodeSelection::kHybrid, 1, true,
-     true, true, false},
-    // LP-engine ablations (PR 10): each flips one engine feature off the
-    // shipped configuration -- product-form eta accumulation instead of
-    // Forrest-Tomlin updates, unscaled loads, no Gomory root cuts.
-    {"no_ft_update", true, true, milp::NodeSelection::kHybrid, 1, true,
-     true, true, true, IlpFormulationKind::kDense, false, false, true, true},
-    {"no_scaling", true, true, milp::NodeSelection::kHybrid, 1, true, true,
-     true, true, IlpFormulationKind::kDense, false, true, false, true},
-    {"no_gomory", true, true, milp::NodeSelection::kHybrid, 1, true, true,
-     true, true, IlpFormulationKind::kDense, false, true, true, false},
-    {"seed", false, false, milp::NodeSelection::kDepthFirst, 1, false,
-     false, false, false},
-    // Retention-interval backend (PR 6). "interval" reruns the small
-    // instances -- compare_bench.py asserts its proven costs equal
-    // "overhaul"'s exactly (the dense-vs-interval cross-check). The *_big
-    // rows run the deep instances the dense backend cannot solve within
-    // the time limit; "dense_big" is kept to document that failure.
-    {"interval", true, true, milp::NodeSelection::kHybrid, 1, true, true,
-     true, true, IlpFormulationKind::kInterval},
-    {"interval_big", true, true, milp::NodeSelection::kHybrid, 1, true,
-     true, true, true, IlpFormulationKind::kInterval, true},
-    {"dense_big", true, true, milp::NodeSelection::kHybrid, 1, true, true,
-     true, true, IlpFormulationKind::kDense, true},
+    {.name = "overhaul"},
+    {.name = "threads2", .num_threads = 2},
+    {.name = "threads4", .num_threads = 4},
+    {.name = "no_presolve", .presolve = false},
+    {.name = "no_pseudocost", .pseudocost = false},
+    {.name = "no_rcfix", .rcfix = false},
+    {.name = "no_cuts", .cuts = false},
+    {.name = "no_reliability", .reliability = false},
+    {.name = "no_scaling", .scaling = false},
+    {.name = "no_gomory", .gomory = false},
+    // Retention-interval backend. "interval" reruns the small instances --
+    // compare_bench.py asserts its proven costs equal "overhaul"'s exactly
+    // (the dense-vs-interval cross-check). The *_big rows run the deep
+    // instances the dense backend cannot solve within the time limit;
+    // "dense_big" is kept to document that failure.
+    {.name = "interval", .formulation = IlpFormulationKind::kInterval},
+    {.name = "interval_big",
+     .formulation = IlpFormulationKind::kInterval,
+     .big = true},
+    {.name = "dense_big", .big = true},
 };
 
 struct JsonInstance {
@@ -360,15 +338,11 @@ int run_json_suite(const std::string& path) {
         opts.relative_gap = 5e-4;
         opts.presolve = cfg.presolve;
         opts.pseudocost_branching = cfg.pseudocost;
-        opts.node_selection = cfg.node_selection;
         opts.num_threads = cfg.num_threads;
-        opts.steepest_edge_pricing = cfg.lp_hotpath;
-        opts.bound_flip_ratio_test = cfg.lp_hotpath;
         opts.root_reduced_cost_fixing = cfg.rcfix;
         opts.cut_separation = cfg.cuts;
         opts.reliability_branching = cfg.reliability;
         opts.formulation = cfg.formulation;
-        opts.lp_ft_update = cfg.ft_update;
         opts.lp_scaling = cfg.scaling;
         opts.gomory_cuts = cfg.gomory;
         auto res = sched.solve_optimal_ilp(inst.budget, opts);
@@ -391,7 +365,6 @@ int run_json_suite(const std::string& path) {
                      "\"lp_refactorizations\": %lld, "
                      "\"lp_ft_updates\": %lld, "
                      "\"lp_ft_growth_refactors\": %lld, "
-                     "\"lp_eta_pivots\": %lld, "
                      "\"lp_pricing_resets\": %lld, \"seconds\": %.3f, "
                      "\"cost\": %.6g, \"best_bound\": %s}",
                      inst.name.c_str(), cfg.name, cfg.num_threads,
@@ -405,7 +378,6 @@ int run_json_suite(const std::string& path) {
                      static_cast<long long>(res.lp_refactorizations),
                      static_cast<long long>(res.lp_ft_updates),
                      static_cast<long long>(res.lp_ft_growth_refactors),
-                     static_cast<long long>(res.lp_eta_pivots),
                      static_cast<long long>(res.lp_pricing_resets),
                      res.seconds, res.cost, bound_buf);
         std::fflush(f);

@@ -42,10 +42,11 @@ Rows present in only one of baseline/fresh are skipped with a warning, not
 failed: a PR that adds or retires a bench instance/config must not brick the
 gate (the committed baseline is refreshed in the same PR, and the warning
 keeps the mismatch visible in the log). If NO rows overlap at all the gate
-fails -- a comparison that gated nothing is a misconfiguration, not a pass. EXCEPTION: the ablation configs
-(no_lp_hotpath, no_rcfix, no_cuts, no_reliability) are load-bearing -- they
-document what each subsystem buys -- so a fresh solver run that silently
-drops one of them FAILS instead of warning.
+fails -- a comparison that gated nothing is a misconfiguration, not a pass.
+EXCEPTION: the ablation configs in ABLATION_CONFIGS (no_rcfix, no_cuts,
+no_reliability, no_scaling, no_gomory) are load-bearing -- they document
+what each subsystem buys -- so a fresh solver run that silently drops one
+of them FAILS instead of warning.
 
 Node counts are deterministic for completed searches (the tree does not
 depend on wall-clock speed or worker count unless a limit is hit), so a >2x
@@ -72,8 +73,8 @@ DETERMINISM_CONFIGS = ("overhaul", "threads2", "threads4")
 # Ablation configs the solver bench must keep reporting: each one flips a
 # shipped subsystem off, and the committed baseline is the record of what
 # that subsystem buys. A fresh run missing one of these rows fails the gate.
-ABLATION_CONFIGS = ("no_lp_hotpath", "no_rcfix", "no_cuts", "no_reliability",
-                    "no_ft_update", "no_scaling", "no_gomory")
+ABLATION_CONFIGS = ("no_rcfix", "no_cuts", "no_reliability", "no_scaling",
+                    "no_gomory")
 
 
 def solver_records(doc):

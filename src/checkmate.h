@@ -25,7 +25,6 @@
 #include "core/simulator.h"
 #include "core/solution.h"
 #include "graph/graph.h"
-#include "lp/dense_simplex.h"
 #include "lp/lp_problem.h"
 #include "lp/simplex.h"
 #include "milp/milp.h"

@@ -118,7 +118,6 @@ FeasibilityProbe make_ilp_probe(double budget_bytes,
     opts.cost_cap = cost_cap;
     opts.presolve = base_milp.presolve;
     opts.pseudocost_branching = base_milp.pseudocost_branching;
-    opts.node_selection = base_milp.node_selection;
     opts.relative_gap = base_milp.relative_gap;
     if (base_milp.max_lp_iterations !=
         std::numeric_limits<int64_t>::max())

@@ -54,11 +54,7 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   mopts.stop_at_first_incumbent = options.stop_at_first_incumbent;
   mopts.presolve = options.presolve && reuse.presolved_lp == nullptr;
   mopts.pseudocost_branching = options.pseudocost_branching;
-  mopts.node_selection = options.node_selection;
   mopts.root_reduced_cost_fixing = options.root_reduced_cost_fixing;
-  mopts.simplex.steepest_edge_pricing = options.steepest_edge_pricing;
-  mopts.simplex.bound_flip_ratio_test = options.bound_flip_ratio_test;
-  mopts.simplex.forrest_tomlin = options.lp_ft_update;
   mopts.simplex.scaling = options.lp_scaling;
   mopts.gomory_cuts = options.gomory_cuts;
   // Branch & cut: hand the solver the formulation's knapsack view of the
@@ -170,7 +166,6 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   res.lp_refactorizations = mres.lp_refactorizations;
   res.lp_ft_updates = mres.lp_ft_updates;
   res.lp_ft_growth_refactors = mres.lp_ft_growth_refactors;
-  res.lp_eta_pivots = mres.lp_eta_pivots;
   res.lp_pricing_resets = mres.lp_pricing_resets;
   res.seconds = mres.seconds;
   res.best_bound = form.unscale_cost(mres.best_bound);

@@ -30,17 +30,9 @@ struct IlpSolveOptions {
   // defaults are the overhauled fast path, the ablation benches flip them).
   bool presolve = true;
   bool pseudocost_branching = true;
-  milp::NodeSelection node_selection = milp::NodeSelection::kHybrid;
-  // LP-engine hot-path knobs (threaded into lp::SimplexOptions) and root
-  // reduced-cost fixing; defaults are the shipped fast path, the ablation
-  // benches flip them off individually.
-  bool steepest_edge_pricing = true;
-  bool bound_flip_ratio_test = true;
   bool root_reduced_cost_fixing = true;
-  // Second-decade LP-engine knobs (PR 10): Forrest-Tomlin basis updates
-  // (off = product-form eta accumulation), Curtis-Reid equilibration at
-  // engine load, and Gomory mixed-integer cuts from the root tableau.
-  bool lp_ft_update = true;
+  // Curtis-Reid equilibration at LP-engine load (lp::SimplexOptions::
+  // scaling) and Gomory mixed-integer cuts from the root tableau.
   bool lp_scaling = true;
   bool gomory_cuts = true;
   // Branch & cut: Checkmate-structural cover/clique cut separation over
@@ -112,7 +104,6 @@ struct ScheduleResult {
   int64_t lp_refactorizations = 0;
   int64_t lp_ft_updates = 0;
   int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_eta_pivots = 0;
   int64_t lp_pricing_resets = 0;
   double seconds = 0.0;
 

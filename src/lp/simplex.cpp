@@ -11,6 +11,42 @@
 
 namespace checkmate::lp {
 
+namespace {
+
+// Primal feasibility, dual optimality and pivot-element tolerances.
+constexpr double kFeasibilityTol = 1e-7;
+constexpr double kOptimalityTol = 1e-7;
+constexpr double kPivotTol = 1e-9;
+// Forrest-Tomlin refresh triggers: the full refactorization waits until
+// this many updates accumulate or the factor fill grows past this multiple
+// of the post-refactorize nnz (an update rejected as unstable forces one
+// immediately).
+constexpr int kFtUpdateLimit = 192;
+constexpr double kFtGrowthLimit = 3.0;
+// Partial (candidate-list) dual pricing: the leaving-row scan keeps a
+// deterministic short list of the worst primal violations (by dse-scaled
+// score) and only rescans the full row set when the list drains or its
+// refresh cadence lapses. List membership is a pure function of the solve
+// trajectory, so node counts stay bit-identical across thread counts.
+// Engaged only from this many rows up.
+constexpr int kPartialPricingMinRows = 256;
+// Deterministic tiny cost perturbation to break dual degeneracy (the
+// rematerialization LPs have thousands of zero-cost columns). Scaled per
+// column by |c_j| (zero-cost columns use the global max |c|) so that
+// badly-ranged objectives are not distorted: a jitter proportional to the
+// GLOBAL max cost can dwarf a small column's true cost and park the solve
+// on a perturbed-optimal vertex that is macroscopically suboptimal for the
+// real objective. The true objective is always recomputed from unperturbed
+// costs.
+constexpr double kPerturbation = 1e-8;
+// Finite stand-in bound for dual-infeasible columns lacking a usable
+// bound; solutions resting on it are reported as unbounded. Kept modest:
+// the bound's magnitude multiplies into floating-point cancellation error
+// (~bound * 1e-16) during pivoting.
+constexpr double kArtificialBound = 1e7;
+
+}  // namespace
+
 const char* to_string(LpStatus status) {
   switch (status) {
     case LpStatus::kOptimal: return "optimal";
@@ -118,7 +154,7 @@ DualSimplex::DualSimplex(const LinearProgram& lp, SimplexOptions options)
   // 0/1 scheduling LPs. Scaled per column by the column's own cost
   // magnitude (zero-cost columns fall back to the global max so they
   // still get jitter) -- a purely global scale would distort badly-ranged
-  // objectives, see SimplexOptions::perturbation. Jitter is
+  // objectives, see kPerturbation. Jitter is
   // applied in the original frame, then scaled with the cost.
   double max_cost = 1.0;
   for (int j = 0; j < n_; ++j)
@@ -129,8 +165,7 @@ DualSimplex::DualSimplex(const LinearProgram& lp, SimplexOptions options)
     h = h * 1664525u + 1013904223u;
     const double mag = lp.obj[j] == 0.0 ? max_cost : std::abs(lp.obj[j]);
     const double jitter =
-        options.perturbation * mag *
-        (1.0 + static_cast<double>(h % 1024) / 1024.0);
+        kPerturbation * mag * (1.0 + static_cast<double>(h % 1024) / 1024.0);
     cost_[j] = (lp.obj[j] + jitter) * scale_[j];
     lo_[j] = lp.lb[j] / scale_[j];
     hi_[j] = lp.ub[j] / scale_[j];
@@ -171,10 +206,10 @@ void DualSimplex::set_var_bounds(int var, double lower, double upper) {
       }
     }
     // Keep the dual-feasible side when both bounds finite and d has a sign.
-    if (d_[var] > opt_.optimality_tol && lo_[var] != -kInf) {
+    if (d_[var] > kOptimalityTol && lo_[var] != -kInf) {
       status_[var] = kNonbasicLower;
       x_[var] = lo_[var];
-    } else if (d_[var] < -opt_.optimality_tol && hi_[var] != kInf) {
+    } else if (d_[var] < -kOptimalityTol && hi_[var] != kInf) {
       status_[var] = kNonbasicUpper;
       x_[var] = hi_[var];
     }
@@ -301,8 +336,6 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
     lo_[n_ + i] = lp_->row_lb[i] / scale_[n_ + i];
     hi_[n_ + i] = lp_->row_ub[i] / scale_[n_ + i];
   }
-  etas_.clear();
-  pivots_since_refactor_ = 0;
   stall_count_ = 0;
   price_dirty_ = true;
   std::fill(d_.begin(), d_.end(), 0.0);
@@ -510,27 +543,6 @@ void DualSimplex::axpy_work_column(int col, double alpha,
   a_.axpy_column(col, alpha, dense);
 }
 
-void DualSimplex::ftran(std::vector<double>& x) const {
-  lu_.ftran(x);
-  for (const Eta& e : etas_) {
-    double piv = x[e.pivot_pos] / e.pivot_val;
-    x[e.pivot_pos] = piv;
-    if (piv != 0.0)
-      for (size_t k = 0; k < e.idx.size(); ++k)
-        x[e.idx[k]] -= e.val[k] * piv;
-  }
-}
-
-void DualSimplex::btran(std::vector<double>& y) const {
-  for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
-    double acc = y[it->pivot_pos];
-    for (size_t k = 0; k < it->idx.size(); ++k)
-      acc -= it->val[k] * y[it->idx[k]];
-    y[it->pivot_pos] = acc / it->pivot_val;
-  }
-  lu_.btran(y);
-}
-
 bool DualSimplex::refactorize() {
   std::vector<BasisColumn> cols(m_);
   // Slack columns are synthesized; keep their storage alive in one arena.
@@ -545,8 +557,6 @@ bool DualSimplex::refactorize() {
       cols[i] = {a_.col_rows(col), a_.col_values(col)};
     }
   }
-  etas_.clear();
-  pivots_since_refactor_ = 0;
   ++stats_.refactorizations;
   const bool ok = lu_.factorize(m_, cols);
   nnz_base_ = lu_.nnz();
@@ -557,7 +567,7 @@ void DualSimplex::recompute_reduced_costs() {
   // y = B^-T c_B, d_j = c_j - y . W_j
   std::vector<double> y(m_, 0.0);
   for (int i = 0; i < m_; ++i) y[i] = cost_[basic_var_[i]];
-  btran(y);
+  lu_.btran(y);
   for (int j = 0; j < num_total(); ++j) {
     if (status_[j] == kBasic) {
       d_[j] = 0.0;
@@ -574,7 +584,7 @@ void DualSimplex::recompute_basic_values() {
     if (status_[j] == kBasic || x_[j] == 0.0) continue;
     axpy_work_column(j, -x_[j], rhs);
   }
-  ftran(rhs);
+  lu_.ftran(rhs);
   xb_ = std::move(rhs);
   xb_dirty_ = false;
   // Wholesale basic-value motion invalidates the pricing candidate list.
@@ -606,12 +616,12 @@ void DualSimplex::make_initial_basis() {
       } else if (hi_[j] != kInf) {
         // Placing at the upper bound makes d_j = c > 0 with status upper:
         // dual infeasible. Use an artificial lower bound instead.
-        lo_[j] = -opt_.artificial_bound;
+        lo_[j] = -kArtificialBound;
         used_artificial_bound_ = true;
         status_[j] = kNonbasicLower;
         x_[j] = lo_[j];
       } else {
-        lo_[j] = -opt_.artificial_bound;
+        lo_[j] = -kArtificialBound;
         used_artificial_bound_ = true;
         status_[j] = kNonbasicLower;
         x_[j] = lo_[j];
@@ -621,7 +631,7 @@ void DualSimplex::make_initial_basis() {
         status_[j] = kNonbasicUpper;
         x_[j] = hi_[j];
       } else {
-        hi_[j] = opt_.artificial_bound;
+        hi_[j] = kArtificialBound;
         used_artificial_bound_ = true;
         status_[j] = kNonbasicUpper;
         x_[j] = hi_[j];
@@ -698,7 +708,7 @@ bool DualSimplex::tableau_row(int pos, std::vector<int>& cols,
   std::vector<double>& rho = rho_scratch_;
   rho.assign(m_, 0.0);
   rho[pos] = 1.0;
-  btran(rho);
+  lu_.btran(rho);
   compute_pivot_row(rho);
   const double qb = scale_[basic_var_[pos]];
   for (int j : alpha_idx_) {
@@ -712,7 +722,6 @@ bool DualSimplex::tableau_row(int pos, std::vector<int>& cols,
 }
 
 void DualSimplex::rebuild_price_list() {
-  const double feas_tol = opt_.feasibility_tol;
   // Full deterministic scan: every violated row scored like the full
   // pricing rule (viol^2 / dse weight), worst kept. The list is a superset
   // filter only -- selection always re-scores fresh from the current
@@ -723,7 +732,7 @@ void DualSimplex::rebuild_price_list() {
     const int col = basic_var_[i];
     const double v = xb_[i];
     const double viol = std::max(lo_[col] - v, v - hi_[col]);
-    if (viol <= feas_tol) continue;
+    if (viol <= kFeasibilityTol) continue;
     scored.push_back({-(viol * viol / dse_w_[i]), i});
   }
   std::sort(scored.begin(), scored.end());
@@ -737,7 +746,6 @@ void DualSimplex::rebuild_price_list() {
 }
 
 int DualSimplex::select_leave_row(bool bland) {
-  const double feas_tol = opt_.feasibility_tol;
   if (bland) {
     // Bland fallback: least-index leaving column, full scan.
     int best_col = std::numeric_limits<int>::max();
@@ -746,23 +754,21 @@ int DualSimplex::select_leave_row(bool bland) {
       const int col = basic_var_[i];
       const double v = xb_[i];
       const double viol = std::max(lo_[col] - v, v - hi_[col]);
-      if (viol > feas_tol && col < best_col) {
+      if (viol > kFeasibilityTol && col < best_col) {
         best_col = col;
         leave = i;
       }
     }
     return leave;
   }
-  const bool partial =
-      opt_.partial_pricing && m_ >= opt_.partial_pricing_min_rows;
-  if (!partial) {
+  if (m_ < kPartialPricingMinRows) {
     double best_score = 0.0;
     int leave = -1;
     for (int i = 0; i < m_; ++i) {
       const int col = basic_var_[i];
       const double v = xb_[i];
       const double viol = std::max(lo_[col] - v, v - hi_[col]);
-      if (viol <= feas_tol) continue;
+      if (viol <= kFeasibilityTol) continue;
       const double score = viol * viol / dse_w_[i];
       if (score > best_score) {
         best_score = score;
@@ -785,7 +791,7 @@ int DualSimplex::select_leave_row(bool bland) {
       const int col = basic_var_[i];
       const double v = xb_[i];
       const double viol = std::max(lo_[col] - v, v - hi_[col]);
-      if (viol <= feas_tol) continue;
+      if (viol <= kFeasibilityTol) continue;
       const double score = viol * viol / dse_w_[i];
       if (score > best_score) {
         best_score = score;
@@ -803,10 +809,9 @@ int DualSimplex::select_leave_row(bool bland) {
 }
 
 int DualSimplex::iterate() {
-  const double feas_tol = opt_.feasibility_tol;
-
-  // ---- Anti-stall refresh: long degenerate streaks usually mean the eta
-  // file has drifted; rebuild the factorization and all derived state.
+  // ---- Anti-stall refresh: long degenerate streaks usually mean the
+  // updated factors have drifted; rebuild the factorization and all
+  // derived state.
   // (The streak counter is NOT reset -- if the stall survives the refresh
   // it keeps growing into the Bland fallback below.)
   if (stall_count_ == 512) {
@@ -842,7 +847,7 @@ int DualSimplex::iterate() {
   std::vector<double>& rho = rho_scratch_;
   rho.assign(m_, 0.0);
   rho[leave_pos] = 1.0;
-  btran(rho);
+  lu_.btran(rho);
   compute_pivot_row(rho);
 
   // ---- Two-pass long-step ratio test.
@@ -850,7 +855,8 @@ int DualSimplex::iterate() {
   // dual step at which each reduced cost hits zero; among equal steps the
   // larger pivot wins (Harris-style stabilization -- on these massively
   // degenerate LPs most breakpoints sit at step zero, and picking the
-  // biggest |alpha| there is what keeps the eta file well conditioned).
+  // biggest |alpha| there is what keeps the updated factors well
+  // conditioned).
   auto& cand = cand_scratch_;
   cand.clear();
   for (int j : alpha_idx_) {
@@ -860,11 +866,11 @@ int DualSimplex::iterate() {
     const double aj = alpha_v_[j];
     const double sa = sigma * aj;
     bool candidate = false;
-    if (status_[j] == kNonbasicLower && sa > opt_.pivot_tol)
+    if (status_[j] == kNonbasicLower && sa > kPivotTol)
       candidate = true;
-    else if (status_[j] == kNonbasicUpper && sa < -opt_.pivot_tol)
+    else if (status_[j] == kNonbasicUpper && sa < -kPivotTol)
       candidate = true;
-    else if (status_[j] == kFree && std::abs(sa) > opt_.pivot_tol)
+    else if (status_[j] == kFree && std::abs(sa) > kPivotTol)
       candidate = true;
     if (!candidate) continue;
     cand.push_back({std::abs(d_[j] / aj), std::abs(aj), j});
@@ -905,10 +911,9 @@ int DualSimplex::iterate() {
   double remaining = sigma * (xb_[leave_pos] - target);  // infeasibility > 0
   for (const RatioCandidate& c : cand) {
     const int j = c.col;
-    if (opt_.bound_flip_ratio_test && !bland && status_[j] != kFree &&
-        lo_[j] != -kInf && hi_[j] != kInf) {
+    if (!bland && status_[j] != kFree && lo_[j] != -kInf && hi_[j] != kInf) {
       const double gain = c.abs_alpha * (hi_[j] - lo_[j]);
-      if (remaining - gain > feas_tol) {
+      if (remaining - gain > kFeasibilityTol) {
         flips.push_back(j);
         remaining -= gain;
         continue;
@@ -940,21 +945,17 @@ int DualSimplex::iterate() {
     flips.resize(keep);
   }
 
-  // ---- FTRAN entering column. Under Forrest-Tomlin the partial solve
-  // (L + row etas, before the U back-substitution) is stashed inside the
-  // factorization as the spike for a subsequent update(); the two-phase
-  // form is exactly ftran(). The eta-file path keeps the plain call.
+  // ---- FTRAN entering column. The partial solve (L + row etas, before
+  // the U back-substitution) is stashed inside the factorization as the
+  // spike for the Forrest-Tomlin update(); the two-phase form is exactly
+  // lu_.ftran().
   std::vector<double>& w = w_scratch_;
   w.assign(m_, 0.0);
   axpy_work_column(enter_col, 1.0, w);
-  if (opt_.forrest_tomlin) {
-    lu_.ftran_spike(w);
-    lu_.ftran_finish(w);
-  } else {
-    ftran(w);
-  }
+  lu_.ftran_spike(w);
+  lu_.ftran_finish(w);
   const double wr = w[leave_pos];
-  if (std::abs(wr) < opt_.pivot_tol) {
+  if (std::abs(wr) < kPivotTol) {
     // The FTRAN'd pivot element disagrees with the BTRAN'd one badly;
     // refactorize and let the caller retry. (No flip has been applied yet,
     // so the basis state is untouched.) If the disagreement SURVIVES a
@@ -992,7 +993,7 @@ int DualSimplex::iterate() {
           status_[j] == kNonbasicLower ? kNonbasicUpper : kNonbasicLower;
       x_[j] = bound_for_status(j, status_[j]);
     }
-    ftran(fl);
+    lu_.ftran(fl);
     for (int i = 0; i < m_; ++i) xb_[i] -= fl[i];
   }
   const double delta = xb_[leave_pos] - target;
@@ -1028,21 +1029,18 @@ int DualSimplex::iterate() {
   // ---- Dual steepest-edge weight update (Forrest-Goldfarb, with the
   // exact leaving-row norm): beta_r is recomputed from the BTRAN'd rho
   // (cheap -- rho is in hand), tau = B^-1 rho costs one extra FTRAN.
-  if (opt_.steepest_edge_pricing) {
-    double beta_r = 0.0;
-    for (int i = 0; i < m_; ++i) beta_r += rho[i] * rho[i];
-    std::vector<double>& tau = flip_scratch_;
-    tau = rho;
-    ftran(tau);
-    for (int i = 0; i < m_; ++i) {
-      if (i == leave_pos || w[i] == 0.0) continue;
-      const double eta = w[i] / wr;
-      const double cand_w =
-          dse_w_[i] - 2.0 * eta * tau[i] + eta * eta * beta_r;
-      dse_w_[i] = std::max(cand_w, 1e-10);
-    }
-    dse_w_[leave_pos] = std::max(beta_r / (wr * wr), 1e-10);
+  double beta_r = 0.0;
+  for (int i = 0; i < m_; ++i) beta_r += rho[i] * rho[i];
+  std::vector<double>& tau = flip_scratch_;
+  tau = rho;
+  lu_.ftran(tau);
+  for (int i = 0; i < m_; ++i) {
+    if (i == leave_pos || w[i] == 0.0) continue;
+    const double eta = w[i] / wr;
+    const double cand_w = dse_w_[i] - 2.0 * eta * tau[i] + eta * eta * beta_r;
+    dse_w_[i] = std::max(cand_w, 1e-10);
   }
+  dse_w_[leave_pos] = std::max(beta_r / (wr * wr), 1e-10);
 
   // ---- Status updates.
   status_[leave_col] = sigma > 0 ? kNonbasicUpper : kNonbasicLower;
@@ -1053,41 +1051,23 @@ int DualSimplex::iterate() {
 
   // ---- Commit the basis change into the factorization: Forrest-Tomlin
   // update in place when stable, else fall back to a full refactorize.
-  // The eta-file path (forrest_tomlin off) records a product-form eta and
-  // refactorizes on the fixed pivot-count interval.
   bool force_refactor = false;
-  if (opt_.forrest_tomlin) {
-    if (lu_.update(leave_pos)) {
-      ++stats_.ft_updates;
-      // Refresh triggers: update-count cap, or fill growth past the
-      // configured multiple of the fresh factorization's nnz (the +16m
-      // floor keeps tiny bases from thrashing on the ratio alone).
-      if (lu_.updates() >= opt_.ft_update_limit ||
-          lu_.nnz() > static_cast<int64_t>(opt_.ft_growth_limit * nnz_base_) +
-                          16 * static_cast<int64_t>(m_)) {
-        if (lu_.updates() < opt_.ft_update_limit) ++stats_.ft_growth_refactors;
-        force_refactor = true;
-      }
-    } else {
-      // Update rejected for stability (spike growth / tiny new diagonal):
-      // the factorization still describes the OLD basis, so rebuild now.
-      ++stats_.ft_growth_refactors;
+  if (lu_.update(leave_pos)) {
+    ++stats_.ft_updates;
+    // Refresh triggers: update-count cap, or fill growth past
+    // kFtGrowthLimit x the fresh factorization's nnz (the +16m floor keeps
+    // tiny bases from thrashing on the ratio alone).
+    if (lu_.updates() >= kFtUpdateLimit ||
+        lu_.nnz() > static_cast<int64_t>(kFtGrowthLimit * nnz_base_) +
+                        16 * static_cast<int64_t>(m_)) {
+      if (lu_.updates() < kFtUpdateLimit) ++stats_.ft_growth_refactors;
       force_refactor = true;
     }
   } else {
-    Eta eta;
-    eta.pivot_pos = leave_pos;
-    eta.pivot_val = wr;
-    for (int i = 0; i < m_; ++i) {
-      if (i != leave_pos && w[i] != 0.0) {
-        eta.idx.push_back(i);
-        eta.val.push_back(w[i]);
-      }
-    }
-    etas_.push_back(std::move(eta));
-    ++stats_.eta_pivots;
-    if (++pivots_since_refactor_ >= opt_.refactor_interval)
-      force_refactor = true;
+    // Update rejected for stability (spike growth / tiny new diagonal):
+    // the factorization still describes the OLD basis, so rebuild now.
+    ++stats_.ft_growth_refactors;
+    force_refactor = true;
   }
   if (force_refactor) {
     if (!refactorize()) return 3;
@@ -1141,10 +1121,10 @@ LpResult DualSimplex::solve() {
     for (int j = 0; j < num_total(); ++j) {
       if (status_[j] == kBasic || status_[j] == kFree) continue;
       if (hi_[j] - lo_[j] < 1e-12) continue;
-      if (d_[j] > opt_.optimality_tol && lo_[j] != -kInf) {
+      if (d_[j] > kOptimalityTol && lo_[j] != -kInf) {
         status_[j] = kNonbasicLower;
         x_[j] = lo_[j];
-      } else if (d_[j] < -opt_.optimality_tol && hi_[j] != kInf) {
+      } else if (d_[j] < -kOptimalityTol && hi_[j] != kInf) {
         status_[j] = kNonbasicUpper;
         x_[j] = hi_[j];
       }
@@ -1257,7 +1237,7 @@ LpResult DualSimplex::solve() {
   // installed in the scaled frame by make_initial_basis).
   if (used_artificial_bound_) {
     for (int j = 0; j < n_; ++j) {
-      if (std::abs(std::abs(result.x[j]) - opt_.artificial_bound) < 1e-3) {
+      if (std::abs(std::abs(result.x[j]) - kArtificialBound) < 1e-3) {
         result.status = LpStatus::kUnbounded;
         result.objective = -kInf;
         result.iterations = iters;

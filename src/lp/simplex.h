@@ -28,8 +28,10 @@
 //     the BTRAN'd rho via the SparseMatrix row mirror, into a stamped
 //     sparse scratch (no per-pivot dense pass over all columns).
 //
-// Basis representation: sparse LU (Gilbert-Peierls) refactorized
-// periodically, with product-form eta updates between refactorizations.
+// Basis representation: sparse LU (Gilbert-Peierls) with Forrest-Tomlin
+// updates: each pivot folds into the factors as one row eta plus a column
+// replacement, and the full refactorization waits until the update count
+// or fill growth crosses its limit, or an update is rejected as unstable.
 #pragma once
 
 #include <cstdint>
@@ -44,20 +46,6 @@
 namespace checkmate::lp {
 
 struct SimplexOptions {
-  double feasibility_tol = 1e-7;
-  double optimality_tol = 1e-7;
-  double pivot_tol = 1e-9;
-  // Dual steepest-edge pricing for the leaving-row choice
-  // (Forrest-Goldfarb reference weights, updated exactly per pivot -- the
-  // update spends one extra FTRAN but the row choice follows the true
-  // steepest dual ascent). Off = Dantzig most-violated-basic, kept for
-  // ablation.
-  bool steepest_edge_pricing = true;
-  // Long-step (bound-flipping) dual ratio test: boxed nonbasic columns
-  // whose reduced cost would change sign are flipped to their opposite
-  // bound instead of entering, amortizing runs of degenerate pivots. Off =
-  // classic single-breakpoint minimum-ratio test, kept for ablation.
-  bool bound_flip_ratio_test = true;
   int max_iterations = 200000;
   // Wall-clock cap for a single solve() call; exceeded => kIterationLimit.
   double time_limit_sec = 60.0;
@@ -66,18 +54,6 @@ struct SimplexOptions {
   // kObjectiveLimit instead of grinding to optimality. Checked on a fixed
   // iteration cadence, so truncation points are machine-independent.
   double objective_limit = kInf;
-  int refactor_interval = 64;
-  // Forrest-Tomlin basis updates: each pivot folds into the LU factors as
-  // one row eta plus a column replacement instead of appending a
-  // product-form eta, so the expensive full refactorization is deferred
-  // until ft_update_limit updates accumulate, fill grows past
-  // ft_growth_limit x the post-refactorize nnz, or an update is rejected
-  // as unstable (near-cancelled replacement diagonal / huge eliminator).
-  // Off = the PR-4 product-form eta path on the refactor_interval cadence,
-  // kept for ablation.
-  bool forrest_tomlin = true;
-  int ft_update_limit = 192;
-  double ft_growth_limit = 3.0;
   // Curtis-Reid geometric-mean scaling at engine load time: equilibrates
   // the badly-ranged memory rows (byte coefficients vs. 0/1 logic rows) by
   // least-squares log2 row/column factors rounded to powers of two, so
@@ -85,28 +61,6 @@ struct SimplexOptions {
   // bit-clean. Snapshots carry the scaling identity; engines over the same
   // LP derive identical factors, preserving the restore contract.
   bool scaling = true;
-  // Partial (candidate-list) dual pricing: the leaving-row scan keeps a
-  // deterministic short list of the worst primal violations (by dse-scaled
-  // score) and only rescans the full row set when the list drains or its
-  // refresh cadence lapses. List membership is a pure function of the
-  // solve trajectory, so node counts stay bit-identical across thread
-  // counts. Engaged only past partial_pricing_min_rows rows.
-  bool partial_pricing = true;
-  int partial_pricing_min_rows = 256;
-  // Deterministic tiny cost perturbation to break dual degeneracy (the
-  // rematerialization LPs have thousands of zero-cost columns). Scaled
-  // per column by |c_j| (zero-cost columns use the global max |c|) so
-  // that badly-ranged objectives are not distorted: a jitter
-  // proportional to the GLOBAL max cost can dwarf a small column's true
-  // cost and park the solve on a perturbed-optimal vertex that is
-  // macroscopically suboptimal for the real objective. The true
-  // objective is always recomputed from unperturbed costs.
-  double perturbation = 1e-8;
-  // Finite stand-in bound for dual-infeasible columns lacking a usable
-  // bound; solutions resting on it are reported as unbounded. Kept modest:
-  // the bound's magnitude multiplies into floating-point cancellation error
-  // (~bound * 1e-16) during pivoting.
-  double artificial_bound = 1e7;
   // Absolute deadline and cancellation token, checked on the same cheap
   // iteration stride as the wall-clock limit. Either trips the solve into
   // kIterationLimit with a sound truncated dual bound. Both default inert.
@@ -122,15 +76,14 @@ struct LpEngineStats {
   // Refactorizations forced by FT fill growth or an unstable update (a
   // subset of refactorizations; the rest are cadence/anti-stall/restore).
   int64_t ft_growth_refactors = 0;
-  int64_t eta_pivots = 0;      // product-form eta pivots (FT off)
   int64_t pricing_resets = 0;  // partial-pricing candidate-list rebuilds
 };
 
 // Engine-independent capture of the warm-start-relevant simplex state:
 // basis status, the basic-position assignment, bound overrides relative to
 // the base LinearProgram, and the values of free nonbasic columns. The LU
-// factors and eta file are deliberately NOT captured -- a restoring engine
-// refactorizes lazily on its next solve(), so a snapshot is a few dozen KB
+// factors are deliberately NOT captured -- a restoring engine refactorizes
+// lazily on its next solve(), so a snapshot is a few dozen KB
 // even for the large rematerialization LPs and two sibling B&B nodes can
 // share one via shared_ptr. Restoring into ANY engine built over the same
 // LinearProgram (same options) yields the same solve trajectory, which is
@@ -284,10 +237,6 @@ class DualSimplex {
   int num_total() const { return n_ + m_; }
   bool is_slack(int col) const { return col >= n_; }
 
-  // FTRAN/BTRAN through LU factors plus the eta file.
-  void ftran(std::vector<double>& x) const;
-  void btran(std::vector<double>& y) const;
-
   // W[:, col]' . dense (dense has length m_).
   double dot_work_column(int col, const std::vector<double>& dense) const;
   // dense += alpha * W[:, col].
@@ -354,21 +303,13 @@ class DualSimplex {
   std::vector<double> xb_;       // basic values by basis position
   std::vector<double> d_;        // reduced costs, size n+m
 
-  struct Eta {
-    int pivot_pos;
-    std::vector<int> idx;
-    std::vector<double> val;
-    double pivot_val;
-  };
   LuFactorization lu_;
-  std::vector<Eta> etas_;
 
   bool basis_valid_ = false;
   bool needs_refactor_ = false;  // restored basis awaiting a lazy refactorize
   bool xb_dirty_ = true;
   bool d_dirty_ = false;
   bool used_artificial_bound_ = false;
-  int pivots_since_refactor_ = 0;
   int64_t nnz_base_ = 0;  // factor nnz right after the last refactorize
   LpEngineStats stats_;
   // Partial-pricing candidate list (basis positions, worst-first) and its

@@ -30,6 +30,45 @@ using Clock = std::chrono::steady_clock;
 // search semantics and must not depend on the worker count.
 constexpr int64_t kMaxDiveNodes = 256;
 
+// Distance from the nearest integer below which a value counts as
+// integral (branching candidates, incumbent validation, reduced-cost
+// fixing).
+constexpr double kIntegralityTol = 1e-6;
+
+// Branch & cut budgets. Separation rounds at the root (each round re-solves
+// the root LP on the cut-tightened relaxation and re-separates); cuts
+// appended per root round / per epoch barrier (best by normalized
+// violation, deterministic order); a hard cap on cut rows appended over the
+// whole search (bounds every engine's basis size); workers separate on the
+// node LP solution every kCutNodeInterval dive depths (the root is always
+// separated); pool entries losing the selection kCutMaxAge barriers in a
+// row are evicted (activity-based aging; re-separation resets the clock).
+constexpr int kMaxRootCutRounds = 8;
+constexpr int kMaxCutsPerRound = 24;
+constexpr int64_t kMaxCutsTotal = 256;
+constexpr int kCutNodeInterval = 8;
+constexpr int kCutMaxAge = 4;
+
+// Reliability branching. A variable with fewer than kReliability pseudocost
+// observations in a direction is unreliable; up to kStrongBranchCandidates
+// of them (top of the pseudocost score order within the best priority tier)
+// are probed per node, each probe capped at kStrongBranchIterations pivots
+// (deterministic, machine-independent). Once the committed probe count
+// crosses kStrongBranchBudget the search runs on pseudocosts alone; the
+// count is projected like the other deterministic work limits (epoch-start
+// committed total plus the slot's own probes), so the cutover point is
+// worker-count invariant.
+constexpr int64_t kReliability = 4;
+constexpr size_t kStrongBranchCandidates = 2;
+constexpr int kStrongBranchIterations = 50;
+constexpr int64_t kStrongBranchBudget = 512;
+
+// The incumbent heuristic runs at the root and then every
+// kHeuristicInterval nodes; the effective interval backs off exponentially
+// while the heuristic fails to improve the incumbent and snaps back on
+// success.
+constexpr int64_t kHeuristicInterval = 64;
+
 struct BoundChange {
   int var;
   double lo, hi;
@@ -103,7 +142,6 @@ lp::LpEngineStats stats_since(const lp::LpEngineStats& now,
   d.refactorizations = now.refactorizations - base.refactorizations;
   d.ft_updates = now.ft_updates - base.ft_updates;
   d.ft_growth_refactors = now.ft_growth_refactors - base.ft_growth_refactors;
-  d.eta_pivots = now.eta_pivots - base.eta_pivots;
   d.pricing_resets = now.pricing_resets - base.pricing_resets;
   return d;
 }
@@ -112,7 +150,6 @@ void add_stats(MilpResult& r, const lp::LpEngineStats& d) {
   r.lp_refactorizations += d.refactorizations;
   r.lp_ft_updates += d.ft_updates;
   r.lp_ft_growth_refactors += d.ft_growth_refactors;
-  r.lp_eta_pivots += d.eta_pivots;
   r.lp_pricing_resets += d.pricing_resets;
 }
 
@@ -164,7 +201,7 @@ class EpochSearch {
         opt_(options),
         heuristic_(heuristic),
         start_(Clock::now()),
-        heur_interval_(std::max(1, options.heuristic_interval)) {
+        heur_interval_(kHeuristicInterval) {
     epoch_width_ = std::max(1, opt_.epoch_width);
     tree_workers_ = resolve_tree_threads(opt_);
     // The working LP needs stable row identities (cut-row GC remaps basis
@@ -181,8 +218,6 @@ class EpochSearch {
       lp_.next_row_id = lp_.num_rows();
     }
     lp_.scaling_rows = lp_.num_rows();
-    max_dive_nodes_ =
-        opt_.node_selection == NodeSelection::kBestBound ? 1 : kMaxDiveNodes;
     for (int j = 0; j < lp.num_vars(); ++j)
       if (lp.is_integer[j]) int_vars_.push_back(j);
     pc_.init(lp.num_vars());
@@ -206,7 +241,7 @@ class EpochSearch {
     reliability_on_ = opt_.reliability_branching &&
                       opt_.pseudocost_branching &&
                       !opt_.stop_at_first_incumbent;
-    cut_pool_ = CutPool(CutPoolOptions{opt_.cut_max_age, 4096});
+    cut_pool_ = CutPool(CutPoolOptions{kCutMaxAge, 4096});
   }
 
   ~EpochSearch() {
@@ -310,7 +345,7 @@ class EpochSearch {
     if (static_cast<int>(x.size()) != lp_.num_vars()) return;
     for (int j : int_vars_) {
       const double f = x[j] - std::floor(x[j]);
-      if (std::min(f, 1.0 - f) > opt_.integrality_tol) return;
+      if (std::min(f, 1.0 - f) > kIntegralityTol) return;
     }
     if (lp_.max_violation(x) > 1e-6) return;
     try_incumbent(x, lp_.objective_value(x));
@@ -326,13 +361,9 @@ class EpochSearch {
                1e-12;
   }
 
-  bool best_bound_pop() const {
-    return opt_.node_selection != NodeSelection::kDepthFirst;
-  }
-
   static bool open_after(const OpenNode& a, const OpenNode& b) {
-    // Min-heap on (bound, creation sequence): the existing best-bound order
-    // with an explicit deterministic tie-break.
+    // Min-heap on (bound, creation sequence): best-bound order with an
+    // explicit deterministic tie-break.
     if (a.bound != b.bound) return a.bound > b.bound;
     return a.seq > b.seq;
   }
@@ -340,24 +371,18 @@ class EpochSearch {
   void push_open(OpenNode&& node) {
     node.seq = next_seq_++;
     open_.push_back(std::move(node));
-    if (best_bound_pop())
-      std::push_heap(open_.begin(), open_.end(), open_after);
+    std::push_heap(open_.begin(), open_.end(), open_after);
   }
 
   OpenNode pop_open() {
-    if (best_bound_pop())
-      std::pop_heap(open_.begin(), open_.end(), open_after);
+    std::pop_heap(open_.begin(), open_.end(), open_after);
     OpenNode n = std::move(open_.back());
     open_.pop_back();
     return n;
   }
 
   double open_min_bound() const {
-    if (open_.empty()) return lp::kInf;
-    if (best_bound_pop()) return open_.front().bound;
-    double b = lp::kInf;
-    for (const OpenNode& n : open_) b = std::min(b, n.bound);
-    return b;
+    return open_.empty() ? lp::kInf : open_.front().bound;
   }
 
   // ------------------------------------------------------------ epochs
@@ -372,9 +397,8 @@ class EpochSearch {
       if (limits_hit()) break;
       // Gap termination: once every open subtree is bounded within the
       // relative gap of the incumbent, the incumbent is optimal-within-gap
-      // -- no need to grind the remaining nodes. (Only best-bound-ordered
-      // modes terminate on the gap; plain DFS keeps the serial behavior.)
-      if (best_bound_pop() && result_.has_solution() && root_done_ &&
+      // -- no need to grind the remaining nodes.
+      if (result_.has_solution() && root_done_ &&
           open_min_bound() >= prune_threshold())
         return;
 
@@ -497,11 +521,10 @@ class EpochSearch {
       // A heuristic that dies (it may run its own LP solves, which can hit
       // injected allocation faults) just contributes no incumbent.
     }
-    const int64_t base = std::max(1, opt_.heuristic_interval);
     if (result_.objective < before - 1e-12) {
-      heur_interval_ = base;
+      heur_interval_ = kHeuristicInterval;
     } else {
-      heur_interval_ = std::min(heur_interval_ * 2, base * 64);
+      heur_interval_ = std::min(heur_interval_ * 2, kHeuristicInterval * 64);
     }
     next_heur_node_ = result_.nodes + heur_interval_;
   }
@@ -528,7 +551,7 @@ class EpochSearch {
     const double slack = cutoff - root_obj;
     // Safety margin over the simplex cost perturbation's dual noise.
     const double margin = 1e-6 * std::max(1.0, std::abs(root_obj));
-    const double at_tol = opt_.integrality_tol;
+    const double at_tol = kIntegralityTol;
     for (int j : int_vars_) {
       if (fix_done_[j]) continue;
       if (lp_.ub[j] - lp_.lb[j] < 0.5) continue;  // already fixed / presolved
@@ -550,13 +573,13 @@ class EpochSearch {
   // ------------------------------------------------------------- cuts
   int cut_budget() const {
     return static_cast<int>(std::min<int64_t>(
-        opt_.max_cuts_per_round,
-        std::max<int64_t>(0, opt_.max_cuts_total - result_.cuts_added)));
+        kMaxCutsPerRound,
+        std::max<int64_t>(0, kMaxCutsTotal - result_.cuts_added)));
   }
 
   SeparationOptions separation_options() const {
     SeparationOptions sep;
-    sep.max_cuts = opt_.max_cuts_per_round;
+    sep.max_cuts = kMaxCutsPerRound;
     return sep;
   }
 
@@ -638,7 +661,7 @@ class EpochSearch {
       // even while the bound plateaus, which is what collapses the tree.
       bool gomory_live = opt_.gomory_cuts;
       bool gomory_gained = false;
-      for (int round = 0; round < opt_.max_root_cut_rounds; ++round) {
+      for (int round = 0; round < kMaxRootCutRounds; ++round) {
         const int budget = cut_budget();
         if (budget <= 0) break;
         if (remaining_sec() <= 0.0) break;
@@ -700,8 +723,7 @@ class EpochSearch {
       }
       n.warm = root_snap_;
     }
-    if (changed && best_bound_pop())
-      std::make_heap(open_.begin(), open_.end(), open_after);
+    if (changed) std::make_heap(open_.begin(), open_.end(), open_after);
   }
 
   // ------------------------------------------------------------- slots
@@ -732,7 +754,7 @@ class EpochSearch {
     int best_prio = std::numeric_limits<int>::min();
     for (int j : int_vars_) {
       const double f = x[j] - std::floor(x[j]);
-      if (std::min(f, 1.0 - f) <= opt_.integrality_tol) continue;
+      if (std::min(f, 1.0 - f) <= kIntegralityTol) continue;
       const int prio =
           opt_.branch_priority.empty() ? 0 : opt_.branch_priority[j];
       if (prio > best_prio) {
@@ -789,7 +811,7 @@ class EpochSearch {
 
   // Reliability branching: before the pseudocost scores pick a branching
   // variable, strong-branch the unreliable candidates -- those with fewer
-  // than opt_.reliability observations in some direction -- with probe
+  // than kReliability observations in some direction -- with probe
   // solves on this worker's own engine. Each probe is capped by a
   // deterministic pivot limit and by the incumbent prune threshold as an
   // objective limit (the probe stops the moment the dual bound proves the
@@ -810,9 +832,7 @@ class EpochSearch {
     };
     std::vector<Cand> cands;
     for (int j : branch_candidates(rel.x)) {
-      if (std::min(w.pc.cnt[0][j], w.pc.cnt[1][j]) >=
-          static_cast<int64_t>(opt_.reliability))
-        continue;
+      if (std::min(w.pc.cnt[0][j], w.pc.cnt[1][j]) >= kReliability) continue;
       const double f = rel.x[j] - std::floor(rel.x[j]);
       const double score = std::max(w.pc.rate(0, j) * f, 1e-9) *
                            std::max(w.pc.rate(1, j) * (1.0 - f), 1e-9);
@@ -823,12 +843,12 @@ class EpochSearch {
       if (a.score != b.score) return a.score > b.score;
       return a.var < b.var;
     });
-    if (static_cast<int>(cands.size()) > opt_.strong_branch_candidates)
-      cands.resize(static_cast<size_t>(opt_.strong_branch_candidates));
+    if (cands.size() > kStrongBranchCandidates)
+      cands.resize(kStrongBranchCandidates);
 
     const double threshold = prune_threshold_for(best_obj, opt_.relative_gap);
     const int saved_iters = eng.iteration_limit();
-    eng.set_iteration_limit(std::max(1, opt_.strong_branch_iterations));
+    eng.set_iteration_limit(kStrongBranchIterations);
     for (const Cand& c : cands) {
       const int j = c.var;
       const double frac = rel.x[j];
@@ -836,7 +856,7 @@ class EpochSearch {
       const double f = frac - floor_val;
       const double lo = eng.var_lower(j), hi = eng.var_upper(j);
       for (int dir = 0; dir < 2; ++dir) {
-        if (w.pc.cnt[dir][j] >= static_cast<int64_t>(opt_.reliability))
+        if (w.pc.cnt[dir][j] >= kReliability)
           continue;  // this direction is already reliable
         const bool side_ok = dir == 0 ? floor_val >= lo - 1e-12
                                       : floor_val + 1.0 <= hi + 1e-12;
@@ -909,7 +929,7 @@ class EpochSearch {
     // separation rounds need the pristine root basis and point, and the
     // children they reopen inherit the cut-strengthened bound.
     const int64_t dive_cap =
-        (cuts_on_ && start.path < 0) ? 1 : max_dive_nodes_;
+        (cuts_on_ && start.path < 0) ? 1 : kMaxDiveNodes;
 
     eng.restore(start.warm ? *start.warm : lp::BasisSnapshot{});
     {
@@ -1084,7 +1104,7 @@ class EpochSearch {
           w.sb_prune[1].assign(static_cast<size_t>(lp_.num_vars()), 0);
         }
         sb_reset(w);
-        if (sb_base + out.strong_branches < opt_.strong_branch_budget)
+        if (sb_base + out.strong_branches < kStrongBranchBudget)
           strong_branch_probes(w, eng, rel, best_obj, out);
       }
 
@@ -1104,18 +1124,16 @@ class EpochSearch {
         out.heur_obj = rel.objective;
       }
 
-      // Node-local separation every cut_node_interval dive depths: cuts
+      // Node-local separation every kCutNodeInterval dive depths: cuts
       // found at this node's fractional point are globally valid (they
       // come from the original knapsack structure, never from local branch
       // bounds), so they ride the SlotResult to the coordinator, which
       // pools and appends them at the barrier in slot order.
-      if (knapsack_cuts_on_ && !opt_.stop_at_first_incumbent &&
-          opt_.cut_node_interval > 0 && !is_root &&
-          out.nodes % opt_.cut_node_interval == 0 &&
-          static_cast<int>(out.cuts.size()) < opt_.max_cuts_per_round) {
+      if (knapsack_cuts_on_ && !opt_.stop_at_first_incumbent && !is_root &&
+          out.nodes % kCutNodeInterval == 0 &&
+          static_cast<int>(out.cuts.size()) < kMaxCutsPerRound) {
         SeparationOptions sep = separation_options();
-        sep.max_cuts =
-            opt_.max_cuts_per_round - static_cast<int>(out.cuts.size());
+        sep.max_cuts = kMaxCutsPerRound - static_cast<int>(out.cuts.size());
         separate_knapsack_cuts(*opt_.cut_structure, lp_, rel.x, sep,
                                &out.cuts);
       }
@@ -1171,9 +1189,7 @@ class EpochSearch {
         return c;
       };
 
-      const bool can_dive = opt_.node_selection != NodeSelection::kBestBound &&
-                            out.nodes < dive_cap;
-      if (!can_dive) {
+      if (out.nodes >= dive_cap) {
         if (open_dir) out.children.push_back(make_open_child(*open_dir));
         out.children.push_back(make_open_child(*dive_dir));
         break;
@@ -1291,7 +1307,6 @@ class EpochSearch {
   Clock::time_point start_;
   int epoch_width_ = 4;
   int tree_workers_ = 1;
-  int64_t max_dive_nodes_ = kMaxDiveNodes;
   std::vector<int> int_vars_;
 
   // Committed shared state: frozen during an epoch's solve phase, mutated

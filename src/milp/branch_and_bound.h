@@ -2,10 +2,10 @@
 //
 // The search advances in epochs. Every epoch the shared node queue
 // deterministically pops up to MilpOptions::epoch_width nodes (best-bound
-// order with a creation-sequence tie-break; LIFO under kDepthFirst), the
-// epoch's slots are solved concurrently by worker threads -- each worker
-// owns a DualSimplex engine and rebuilds a slot's state from the parent's
-// BasisSnapshot plus the node's bound-change path -- and the results
+// order with a creation-sequence tie-break), the epoch's slots are solved
+// concurrently by worker threads -- each worker owns a DualSimplex engine
+// and rebuilds a slot's state from the parent's BasisSnapshot plus the
+// node's bound-change path -- and the results
 // (children, incumbents, pseudocost observations, dropped-subtree bounds)
 // are committed in slot order at the epoch barrier.
 //

@@ -17,15 +17,6 @@ const char* to_string(MilpStatus status) {
   return "unknown";
 }
 
-const char* to_string(NodeSelection mode) {
-  switch (mode) {
-    case NodeSelection::kDepthFirst: return "depth_first";
-    case NodeSelection::kBestBound: return "best_bound";
-    case NodeSelection::kHybrid: return "hybrid";
-  }
-  return "unknown";
-}
-
 MilpResult solve_milp(const lp::LinearProgram& lp, const MilpOptions& options,
                       IncumbentHeuristic heuristic) {
   MilpOptions opts = options;
@@ -39,9 +30,7 @@ MilpResult solve_milp(const lp::LinearProgram& lp, const MilpOptions& options,
 
   if (!opts.presolve) return branch_and_bound(lp, opts, heuristic);
 
-  PresolveOptions popts;
-  popts.integrality_tol = opts.integrality_tol;
-  PresolveResult pre = presolve(lp, popts);
+  PresolveResult pre = presolve(lp);
   if (pre.stats.proven_infeasible) {
     MilpResult res;
     res.status = MilpStatus::kInfeasible;

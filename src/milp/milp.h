@@ -8,10 +8,11 @@
 //     shrinks the LP before the first factorization -- the Checkmate
 //     formulation carries many structurally-forced zeros (e.g. the S
 //     columns killed by the frontier-advancing constraints);
-//   - diving search with configurable node selection: depth-first (LIFO),
-//     best-bound, or hybrid (dive to a leaf, then restart from the open
-//     node with the best bound). Diving finds good incumbents almost
-//     immediately because the partitioned relaxation is tight;
+//   - hybrid node selection: dive to a leaf, then restart from the open
+//     node with the best bound. Diving finds good incumbents almost
+//     immediately because the partitioned relaxation is tight, and the
+//     best-bound restarts let the search stop once every open subtree is
+//     bounded within the gap;
 //   - pseudocost branching (with caller priority tiers preserved): observed
 //     per-unit objective degradations steer the search toward decisions
 //     that move the dual bound; unobserved variables degrade gracefully to
@@ -42,18 +43,9 @@
 
 namespace checkmate::milp {
 
-enum class NodeSelection {
-  kDepthFirst,  // LIFO: dive, backtrack to the most recent open node
-  kBestBound,   // always expand the open node with the smallest bound
-  kHybrid,      // dive to a leaf, then restart from the best-bound node
-};
-
-const char* to_string(NodeSelection mode);
-
 struct MilpOptions {
   double time_limit_sec = 3600.0;
   double relative_gap = 1e-6;
-  double integrality_tol = 1e-6;
   int64_t max_nodes = 10'000'000;
   // Deterministic work limit: stop once the cumulative simplex iteration
   // count crosses this value. Unlike the wall-clock limit, runs with the
@@ -89,44 +81,28 @@ struct MilpOptions {
   // inherits them. Deterministic: fixings are derived from committed state
   // only and applied at epoch barriers.
   bool root_reduced_cost_fixing = true;
-  NodeSelection node_selection = NodeSelection::kDepthFirst;
   // ---- Branch & cut. Separation needs a structural view of the problem
   // (milp/cuts.h); callers that have one (the Checkmate formulation layer)
   // pass it here, non-owning, and it must outlive the solve. With a
   // structure present and cut_separation on, the search runs rounds of
   // root separation after the root LP, node-local separation inside the
-  // worker dives every cut_node_interval depths, and commits/ages the cut
-  // pool at epoch barriers in slot order -- all deterministic for any
-  // num_threads. Cut rows are appended to the working LP as the pool
-  // selects them, and rows whose cut stays slack at the root point for
-  // cut_max_age consecutive barriers are physically DELETED again (the
-  // working LP carries stable row ids, so parent basis snapshots captured
-  // before a deletion remap onto the shrunken LP on restore --
-  // lp/simplex.h).
+  // worker dives every few depths, and commits/ages the cut pool at epoch
+  // barriers in slot order -- all deterministic for any num_threads. Cut
+  // rows are appended to the working LP as the pool selects them, and rows
+  // whose cut stays slack at the root point for several consecutive
+  // barriers are physically DELETED again (the working LP carries stable
+  // row ids, so parent basis snapshots captured before a deletion remap
+  // onto the shrunken LP on restore -- lp/simplex.h). The cadences and
+  // budgets are constants in milp/branch_and_bound.cpp.
   const FormulationStructure* cut_structure = nullptr;
   bool cut_separation = true;
   // Gomory mixed-integer cuts read from the root simplex tableau,
   // interleaved with the knapsack separators during the root cut rounds
   // (never at tree nodes: tableau cuts derived under branching bounds
   // would only be locally valid). Shares the pool's dedup/aging/selection
-  // machinery and the max_cuts_total budget.
+  // machinery and the total cut budget.
   bool gomory_cuts = true;
-  // Separation rounds at the root (each round re-solves the root LP on the
-  // cut-tightened relaxation and re-separates).
-  int max_root_cut_rounds = 8;
-  // Cuts appended per root round / per epoch barrier (best by normalized
-  // violation, deterministic order).
-  int max_cuts_per_round = 24;
-  // Hard cap on cut rows appended over the whole search (bounds every
-  // engine's basis size).
-  int max_cuts_total = 256;
-  // Workers separate on the node LP solution every this many dive depths
-  // (0 disables node-local separation; the root is always separated).
-  int cut_node_interval = 8;
-  // Pool entries losing the selection this many barriers in a row are
-  // evicted (activity-based aging; re-separation resets the clock).
-  int cut_max_age = 4;
-  // ---- Reliability branching. Until a variable has this many pseudocost
+  // ---- Reliability branching. Until a variable has a few pseudocost
   // observations per direction it is considered unreliable: the branching
   // candidate scan strong-branches unreliable candidates with
   // objective_limit-capped probe solves on the worker's own engine (the
@@ -136,21 +112,6 @@ struct MilpOptions {
   // slot-local pure work committed through the ordinary pseudocost
   // observation channel, so the bit-identity contract is untouched.
   bool reliability_branching = true;
-  int reliability = 4;
-  // Unreliable candidates probed per node (top of the pseudocost score
-  // order within the best priority tier).
-  int strong_branch_candidates = 2;
-  // Per-probe simplex pivot cap (deterministic, machine-independent).
-  int strong_branch_iterations = 50;
-  // Total probe budget per solve: once the committed probe count crosses
-  // this, the search runs on pseudocosts alone. Counted like the other
-  // deterministic work limits (epoch-start committed total plus the
-  // slot's own probes), so the cutover point is worker-count invariant.
-  int64_t strong_branch_budget = 512;
-  // Invoke the incumbent heuristic at the root and then every N nodes; the
-  // effective interval backs off exponentially while the heuristic fails
-  // to improve the incumbent and snaps back on success.
-  int heuristic_interval = 64;
   // Stop as soon as any incumbent is found (feasibility problems, e.g. the
   // max-batch-size search of Section 6.4).
   bool stop_at_first_incumbent = false;
@@ -223,7 +184,6 @@ struct MilpResult {
   int64_t lp_refactorizations = 0;
   int64_t lp_ft_updates = 0;
   int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_eta_pivots = 0;
   int64_t lp_pricing_resets = 0;
   double seconds = 0.0;
   PresolveStats presolve;          // zeroed when presolve was disabled

@@ -1,4 +1,4 @@
-#include "lp/dense_simplex.h"
+#include "dense_simplex.h"
 
 #include <algorithm>
 #include <cmath>

@@ -329,7 +329,6 @@ TEST(BranchAndCut, CutsPreserveOptimumAndShrinkTree) {
   MilpOptions base;
   base.time_limit_sec = 30.0;
   base.branch_priority = f.branch_priorities();
-  base.node_selection = NodeSelection::kHybrid;
   base.reliability_branching = false;  // isolate the cut effect
   base.gomory_cuts = false;  // knapsack separators only in both runs
 
@@ -356,7 +355,6 @@ TEST(BranchAndCut, ReliabilityBranchingPreservesOptimum) {
   MilpOptions rel;
   rel.time_limit_sec = 30.0;
   rel.branch_priority = f.branch_priorities();
-  rel.node_selection = NodeSelection::kHybrid;
   rel.cut_structure = &structure;
   rel.reliability_branching = true;
   MilpOptions norel = rel;
@@ -386,7 +384,6 @@ TEST(BranchAndCut, WorkerCountInvariantWithCutsAndReliability) {
     MilpOptions opts;
     opts.time_limit_sec = 30.0;
     opts.branch_priority = f.branch_priorities();
-    opts.node_selection = NodeSelection::kHybrid;
     opts.cut_structure = &structure;
     opts.num_threads = threads;
     auto res = solve_milp(f.lp(), opts);
@@ -413,7 +410,6 @@ TEST(BranchAndCut, WorkerCountInvariantWithCutsAndReliability) {
     EXPECT_EQ(reference->lp_ft_updates, res.lp_ft_updates) << threads;
     EXPECT_EQ(reference->lp_ft_growth_refactors, res.lp_ft_growth_refactors)
         << threads;
-    EXPECT_EQ(reference->lp_eta_pivots, res.lp_eta_pivots) << threads;
     EXPECT_EQ(reference->lp_pricing_resets, res.lp_pricing_resets) << threads;
     ASSERT_EQ(reference->x.size(), res.x.size());
     for (size_t j = 0; j < res.x.size(); ++j)
