@@ -3,7 +3,8 @@
 // Scheduler::solve_optimal_ilp calls -- versus through
 // PlanService::sweep_robust, which builds and presolves the formulation
 // once, rebinds the budget in
-// place per point and chains warm starts. Both paths must land identical
+// place per point and serves points on an already-proven step of the
+// budget staircase without solving. Both paths must land identical
 // proven-optimal objectives at every point; the service must be >= 3x
 // faster wall-clock.
 //

@@ -22,8 +22,11 @@ Handles both committed formats:
   BENCH_sweep.json   (sweep_bench --json): records keyed by
                      (instance, cold|cached), gated on total node counts;
                      additionally fails if any fresh sweep point lost
-                     proven optimality or the cold/cached objectives
-                     diverged beyond the gap.
+                     proven optimality, the cold/cached objectives
+                     diverged beyond the gap, or an instance served fewer
+                     points from the budget staircase (service.shortcuts)
+                     than the baseline -- a lost shortcut costs only a
+                     node or two, which the node gate cannot see.
   BENCH_service.json (service_bench --json): records keyed by
                      (phase, replay), gated on total node counts plus the
                      admission contracts: the served-without-solve rate of
@@ -268,8 +271,16 @@ def main():
                     f"diverge: {dc:.6g} vs {ic:.6g} (> gap {gap})")
 
     if kind == "sweep_bench":
+        base_shortcuts = {i["instance"]: i.get("service", {}).get("shortcuts")
+                          for i in base_doc["instances"]}
         for inst in fresh_doc["instances"]:
             name = inst["instance"]
+            want = base_shortcuts.get(name)
+            got = inst.get("service", {}).get("shortcuts")
+            if want is not None and (got is None or got < want):
+                failures.append(
+                    f"{name}: staircase shortcuts {want} -> {got}: sweep "
+                    f"points the baseline served without solving now solve")
             print(f"  {name:44s} speedup {inst['speedup']:.2f}x "
                   f"(cold {inst['cold_wall_seconds']:.2f}s, cached "
                   f"{inst['cached_wall_seconds']:.2f}s)")

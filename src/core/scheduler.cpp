@@ -77,24 +77,13 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   if (reuse.known_lower_bound_cost != -lp::kInf)
     mopts.known_lower_bound = form.scale_cost(reuse.known_lower_bound_cost);
 
-  bool warm_started = false;
-  if (partitioned && reuse.warm_start) {
-    if (auto x = form.assemble_assignment(*reuse.warm_start)) {
-      mopts.initial_solutions.push_back(std::move(*x));
-      warm_started = true;
-    }
-  }
-
   // Seed branch & bound with the cheapest feasible baseline schedule so
   // bound pruning is active from the root (Section 6.2: the ILP's feasible
-  // set is a superset of every baseline's). Skipping is only honored when
-  // the warm start actually assembled -- never start incumbent-less. An
-  // already-expired deadline also skips the pass: the search terminates at
-  // its first barrier anyway and the caller's fallback ladder supplies the
-  // heuristic plan.
+  // set is a superset of every baseline's). An already-expired deadline
+  // skips the pass: the search terminates at its first barrier anyway and
+  // the caller's fallback ladder supplies the heuristic plan.
   if (partitioned && options.use_rounding_heuristic &&
-      !options.deadline.expired() && !options.cancel.cancelled() &&
-      !(reuse.skip_baseline_seeds && warm_started)) {
+      !options.deadline.expired() && !options.cancel.cancelled()) {
     double best_seed_cost = lp::kInf;
     std::optional<std::vector<double>> best_seed;
     auto offer_seed = [&](const RematSolution& sol) {

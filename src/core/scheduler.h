@@ -130,18 +130,10 @@ struct IlpSolveReuse {
   // upper bounds were already clamped to the query budget. The MILP's own
   // presolve pass is skipped.
   const lp::LinearProgram* presolved_lp = nullptr;
-  // Extra warm-start incumbent: an adjacent budget's optimum whose
-  // simulated peak fits this budget (a schedule's memory use is
-  // budget-independent, so feasibility transfers in either direction).
-  const RematSolution* warm_start = nullptr;
   // Caller-guaranteed lower bound on the optimal cost (problem cost
-  // units; -inf = none). The sweep path derives it from budget
+  // units; -inf = none). The service derives it from budget
   // monotonicity: for budgets b' <= b, opt(b') >= best_bound(b).
   double known_lower_bound_cost = -lp::kInf;
-  // Skip the baseline seeding pass. Sound whenever warm_start is the
-  // proven optimum of a smaller budget: no baseline can beat it enough to
-  // matter for pruning, and seeding costs real time per sweep point.
-  bool skip_baseline_seeds = false;
 };
 
 // Core optimal-ILP path over an already-built formulation (whose recorded

@@ -128,11 +128,10 @@ struct MilpOptions {
   // Optional per-variable branching priority (higher branches first). Empty
   // means uniform.
   std::vector<int> branch_priority;
-  // Optional warm-start incumbents (e.g. a feasible baseline schedule, or
-  // the plan service's adjacent-budget optimum when sweeping). Every
-  // candidate is validated before acceptance and the best feasible one
-  // becomes the starting incumbent, enabling bound pruning from the very
-  // first node.
+  // Optional warm-start incumbents (e.g. a feasible baseline schedule).
+  // Every candidate is validated before acceptance and the best feasible
+  // one becomes the starting incumbent, enabling bound pruning from the
+  // very first node.
   std::vector<std::vector<double>> initial_solutions;
   // Absolute deadline / cancellation token for the whole solve (both
   // default inert). The search *acts* on them only at epoch barriers, so a

@@ -17,31 +17,30 @@
 // only routes the lookup; acquire() verifies a hit by full problem-content
 // comparison, so a collision degrades to a rebuild, never to a wrong
 // formulation.
+//
+// The cache holds solver state only. Answers -- proven optima and the
+// budget staircase they form -- live in the plan service's PlanStore
+// (store/plan_store.h), so evicting an entry never loses a plan.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "core/ilp_builder.h"
 #include "core/remat_problem.h"
-#include "core/solution.h"
 #include "milp/presolve.h"
+#include "store/plan_store.h"
 
 namespace checkmate::service {
 
+// The shape includes the backend (dense vs retention-interval): the two
+// build different LPs over different variable layouts, so they can never
+// share a cached formulation or its presolve artifacts.
 struct FormulationKey {
   uint64_t problem_fingerprint = 0;
-  bool partitioned = true;
-  bool eliminate_diag_free = true;
-  // Backend shape (dense vs retention-interval): the two backends build
-  // different LPs over different variable layouts, so they can never share
-  // a cached formulation or its presolve artifacts.
-  IlpFormulationKind formulation = IlpFormulationKind::kDense;
-  bool has_cost_cap = false;
-  double cost_cap = 0.0;
+  store::StoreShape shape;
 
   friend bool operator==(const FormulationKey&,
                          const FormulationKey&) = default;
@@ -65,18 +64,6 @@ struct CacheEntry {
   double presolve_budget_bytes = 0.0;
   lp::LinearProgram presolved;
   milp::PresolveStats presolve_stats;
-
-  // Warm-start chain: the last proven-optimal schedule of this problem.
-  // A schedule's simulated peak is budget-independent, so it is feasible
-  // at any budget >= chain_peak_bytes; by budget monotonicity it is
-  // *optimal* at any such budget <= chain_budget_bytes (the optimum can
-  // only rise as the budget falls, and chain_best_bound carries over as a
-  // valid proof), which is what makes descending sweeps mostly free.
-  std::optional<RematSolution> chain_solution;
-  double chain_budget_bytes = 0.0;   // budget the solve ran at
-  double chain_peak_bytes = 0.0;     // simulated peak of the schedule
-  double chain_cost = 0.0;           // its cost (problem units)
-  double chain_best_bound = 0.0;     // proven lower bound at chain_budget
 
   std::mutex mu;        // serializes queries against this entry
   uint64_t last_used = 0;  // LRU tick, guarded by the cache mutex

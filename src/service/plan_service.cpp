@@ -72,6 +72,14 @@ std::optional<ScheduleResult> heuristic_fallback(
   return best;
 }
 
+// The outcome's certificate: the tighter of `bound` and the compute floor
+// (every operation once), and the plan's relative gap to it.
+void certify(PlanOutcome& out, const RematProblem& problem, double bound) {
+  out.lower_bound = std::max(problem.total_cost_all_nodes(), bound);
+  out.gap = std::max(0.0, (out.result.cost - out.lower_bound) /
+                              std::max(1e-12, out.result.cost));
+}
+
 // Rungs 3-4 of the ladder as a standalone outcome: the cheapest validated
 // heuristic schedule, or -- only when no heuristic fits -- a non-proof
 // kInfeasible. Used both by the ladder tail and by admission paths that
@@ -83,34 +91,17 @@ PlanOutcome heuristic_or_infeasible(const RematProblem& problem,
                                     std::string degradation) {
   PlanOutcome out;
   out.memory_floor_bytes = problem.memory_floor();
-  const double ideal = problem.total_cost_all_nodes();
   if (auto fb = heuristic_fallback(problem, budget_bytes, options.cost_cap)) {
     out.provenance = PlanProvenance::kHeuristicFallback;
     out.result = std::move(*fb);
-    out.lower_bound = ideal;
-    out.gap = std::max(0.0, (out.result.cost - out.lower_bound) /
-                                std::max(1e-12, out.result.cost));
-    out.why_degraded = std::move(degradation);
-    return out;
+  } else {
+    out.provenance = PlanProvenance::kInfeasible;
+    out.result = infeasible_result(
+        "no plan found: search failed and no heuristic schedule fits");
   }
-  out.provenance = PlanProvenance::kInfeasible;
-  out.result = infeasible_result(
-      "no plan found: search failed and no heuristic schedule fits");
-  out.lower_bound = ideal;
+  certify(out, problem, -lp::kInf);
   out.why_degraded = std::move(degradation);
   return out;
-}
-
-// The formulation-shape half of a store key, mirrored from the query
-// options exactly as FormulationKey builds it.
-store::StoreShape shape_of(const IlpSolveOptions& options) {
-  store::StoreShape shape;
-  shape.partitioned = options.partitioned;
-  shape.eliminate_diag_free = options.eliminate_diag_free;
-  shape.formulation = options.formulation;
-  shape.has_cost_cap = options.cost_cap.has_value();
-  shape.cost_cap = options.cost_cap.value_or(0.0);
-  return shape;
 }
 
 // 64-bit routing key for single-flight: problem fingerprint x shape x
@@ -168,15 +159,13 @@ const char* to_string(PlanProvenance provenance) {
 
 PlanService::PlanService(PlanServiceOptions options)
     : opts_(options), cache_(options.max_cache_entries) {
-  if (!opts_.store_dir.empty()) {
-    // Store construction recovers whatever a previous process left behind
-    // (quarantining corrupt records); an unusable directory disables
-    // persistence rather than failing the service.
-    try {
-      store_ = std::make_unique<store::PlanStore>(opts_.store_dir);
-    } catch (const std::exception&) {
-      store_.reset();
-    }
+  // Store construction recovers whatever a previous process left behind
+  // (quarantining corrupt records); an unusable directory disables
+  // persistence rather than failing the service.
+  try {
+    store_ = std::make_unique<store::PlanStore>(opts_.store_dir);
+  } catch (const std::exception&) {
+    store_ = std::make_unique<store::PlanStore>("");
   }
 }
 
@@ -245,47 +234,6 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
     std::lock_guard lock(stats_mu_);
     ++stats_.queries;
   }
-  const RematProblem& problem = entry.problem;
-
-  // A chained schedule's memory use is budget-independent, so it is
-  // feasible here iff its simulated peak fits this budget. (The chain is
-  // only maintained for the partitioned form; unpartitioned queries solve
-  // objective-only and return no schedule.)
-  const bool chain_fits = options.partitioned &&
-                          entry.chain_solution.has_value() &&
-                          entry.chain_peak_bytes <= budget_bytes;
-
-  // Inherited-optimum shortcut. The chained optimum is provably optimal
-  // at this budget when it fits and either
-  //   (a) this budget is <= the budget it was proven at: shrinking the
-  //       budget can only raise the optimum, so chain_best_bound is still
-  //       a valid lower bound, the schedule still attains its cost, and
-  //       that pair meets *this* query's relative_gap (a tighter-gap
-  //       query must not inherit a looser certificate); or
-  //   (b) its cost is the compute floor (every operation exactly once),
-  //       which no budget can beat -- a zero-gap certificate.
-  if (chain_fits) {
-    const double ideal = problem.total_cost_all_nodes();
-    const bool bound_carries =
-        budget_bytes <= entry.chain_budget_bytes &&
-        entry.chain_cost - entry.chain_best_bound <=
-            options.relative_gap * std::max(1.0, std::abs(entry.chain_cost));
-    const bool at_floor =
-        entry.chain_cost <= ideal + 1e-9 * std::max(1.0, ideal);
-    if (bound_carries || at_floor) {
-      ScheduleResult out = evaluate_schedule_against(
-          problem, *entry.chain_solution, budget_bytes);
-      if (out.feasible) {
-        out.milp_status = milp::MilpStatus::kOptimal;
-        out.best_bound = bound_carries ? entry.chain_best_bound : out.cost;
-        out.message = "plan service: inherited chained optimum";
-        std::lock_guard lock(stats_mu_);
-        ++stats_.warm_start_shortcuts;
-        return out;
-      }
-    }
-  }
-
   if (entry.form->options().budget_bytes != budget_bytes) {
     entry.form->set_budget(budget_bytes);
     std::lock_guard lock(stats_mu_);
@@ -294,25 +242,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
   ensure_presolve(entry, budget_bytes, options);
 
   IlpSolveReuse reuse;
-  if (chain_fits) {
-    reuse.warm_start = &*entry.chain_solution;
-    // The chained incumbent is a proven optimum of a related budget: no
-    // baseline can usefully undercut it, so skip the per-query seeding.
-    reuse.skip_baseline_seeds = true;
-    std::lock_guard lock(stats_mu_);
-    ++stats_.warm_starts_injected;
-  }
-  // Budget monotonicity: for a smaller budget than the chained solve's,
-  // its proven bound is still a valid lower bound -- branch & bound may
-  // stop as soon as any incumbent lands within *this query's* gap of it,
-  // instead of re-proving the bound through the dual plateau.
-  if (options.partitioned && entry.chain_solution.has_value() &&
-      budget_bytes <= entry.chain_budget_bytes)
-    reuse.known_lower_bound_cost = entry.chain_best_bound;
-  // An externally proven bound (a store-carried staircase dual bound) is
-  // just as sound; take the tighter of the two.
-  reuse.known_lower_bound_cost =
-      std::max(reuse.known_lower_bound_cost, known_lower_bound);
+  reuse.known_lower_bound_cost = known_lower_bound;
 
   lp::LinearProgram clamped;
   if (options.presolve && entry.has_presolve) {
@@ -348,16 +278,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
     ++stats_.presolve_reuses;
   }
 
-  ScheduleResult res = solve_ilp_on_formulation(*entry.form, options, reuse);
-  if (options.partitioned && res.feasible &&
-      res.milp_status == milp::MilpStatus::kOptimal) {
-    entry.chain_solution = res.solution;
-    entry.chain_budget_bytes = budget_bytes;
-    entry.chain_peak_bytes = res.peak_memory;
-    entry.chain_cost = res.cost;
-    entry.chain_best_bound = res.best_bound;
-  }
-  return res;
+  return solve_ilp_on_formulation(*entry.form, options, reuse);
 }
 
 PlanOutcome PlanService::plan_robust(const RematProblem& problem,
@@ -386,7 +307,7 @@ PlanOutcome PlanService::plan_robust(const RematProblem& problem,
   // key. Queries differing only in solver knobs (deadline, threads) still
   // share: followers keep their own deadline while waiting, and the
   // shared outcome is at least as good as what their knobs would buy.
-  const store::StoreShape shape = shape_of(options);
+  const store::StoreShape shape = store::StoreShape::of(options);
   std::string blob = problem.serialize_canonical();
   const uint64_t key = request_key(problem.fingerprint(), shape, budget_bytes,
                                    options.relative_gap);
@@ -463,27 +384,26 @@ PlanOutcome PlanService::plan_robust(const RematProblem& problem,
 PlanOutcome PlanService::serve_or_solve(const RematProblem& problem,
                                         double budget_bytes,
                                         const IlpSolveOptions& options) {
-  const store::StoreShape shape = shape_of(options);
+  const store::StoreShape shape = store::StoreShape::of(options);
+  const bool on_disk = !store_->directory().empty();
 
-  // Store lookup: a hit is byte-verified against this problem's canonical
-  // content and simulator re-validated inside the store before it gets
-  // here; what comes back is a proven optimum with zero solver work.
+  // Staircase lookup: a hit is a proven optimum, simulator-validated
+  // against this budget (and, for a record loaded from disk, byte-verified
+  // against this problem's canonical content), with zero solver work. A
+  // miss still yields the best dual bound the staircase implies here.
   double staircase_bound = -lp::kInf;
-  if (store_) {
-    if (auto hit = store_->lookup(problem, shape, budget_bytes,
-                                  options.relative_gap, &staircase_bound)) {
-      PlanOutcome out;
-      out.memory_floor_bytes = problem.memory_floor();
-      out.provenance = PlanProvenance::kProvenOptimal;
-      out.result = std::move(*hit);
-      const double ideal = problem.total_cost_all_nodes();
-      out.lower_bound = std::max(ideal, out.result.best_bound);
-      out.gap = std::max(0.0, (out.result.cost - out.lower_bound) /
-                                  std::max(1e-12, out.result.cost));
-      std::lock_guard lock(stats_mu_);
-      ++stats_.store_hits;
-      return out;
-    }
+  if (auto hit = store_->lookup(problem, shape, budget_bytes,
+                                options.relative_gap, &staircase_bound)) {
+    PlanOutcome out;
+    out.memory_floor_bytes = problem.memory_floor();
+    out.provenance = PlanProvenance::kProvenOptimal;
+    out.result = std::move(*hit);
+    certify(out, problem, out.result.best_bound);
+    std::lock_guard lock(stats_mu_);
+    ++(on_disk ? stats_.store_hits : stats_.warm_start_shortcuts);
+    return out;
+  }
+  if (on_disk) {
     std::lock_guard lock(stats_mu_);
     ++stats_.store_misses;
   }
@@ -533,18 +453,22 @@ PlanOutcome PlanService::serve_or_solve(const RematProblem& problem,
     --active_solves_;
   }
 
-  // Persist proven optima before the caller publishes them (plan_robust
-  // erases the single-flight entry only after this returns, so late
-  // arrivals transition from flight-join to store-hit with no window in
-  // which they would re-solve). Failed writes are absorbed: the in-memory
-  // answer stands.
-  if (store_ && out.provenance == PlanProvenance::kProvenOptimal &&
-      out.result.feasible &&
+  // Admit proven optima to the staircase before the caller publishes them
+  // (plan_robust erases the single-flight entry only after this returns,
+  // so late arrivals transition from flight-join to store-hit with no
+  // window in which they would re-solve). Only a result that carries its
+  // schedule can serve later queries; an unpartitioned solve proves an
+  // objective only. Failed writes are absorbed: the in-memory answer
+  // stands.
+  if (out.provenance == PlanProvenance::kProvenOptimal &&
+      out.result.feasible && !out.result.solution.R.empty() &&
       out.result.milp_status == milp::MilpStatus::kOptimal) {
     const bool ok = store_->put(problem, shape, budget_bytes,
                                 options.relative_gap, out.result);
-    std::lock_guard lock(stats_mu_);
-    ++(ok ? stats_.store_puts : stats_.store_put_failures);
+    if (on_disk) {
+      std::lock_guard lock(stats_mu_);
+      ++(ok ? stats_.store_puts : stats_.store_put_failures);
+    }
   }
   return out;
 }
@@ -556,7 +480,6 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
   PlanOutcome out;
   out.memory_floor_bytes = problem.memory_floor();
 
-  const double ideal = problem.total_cost_all_nodes();
   std::string degradation;
   bool proven_infeasible = false;
 
@@ -576,9 +499,7 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
           solve_locked(*entry, budget_bytes, options, known_lower_bound);
       if (res.feasible) {
         out.result = std::move(res);
-        out.lower_bound = std::max(ideal, out.result.best_bound);
-        out.gap = std::max(0.0, (out.result.cost - out.lower_bound) /
-                                    std::max(1e-12, out.result.cost));
+        certify(out, problem, out.result.best_bound);
         if (out.result.milp_status == milp::MilpStatus::kOptimal) {
           out.provenance = PlanProvenance::kProvenOptimal;
         } else {
@@ -622,9 +543,10 @@ std::vector<PlanOutcome> PlanService::sweep_robust(
     const IlpSolveOptions& options) {
   std::vector<PlanOutcome> out(budgets.size());
   if (budgets.empty()) return out;
-  // Descending budget order keeps the cache chaining effective: the first
-  // point presolves at the largest budget and every later point reuses the
-  // artifacts and inherits or warm-starts from its predecessor's optimum.
+  // Descending budget order keeps the reuse effective: the first point
+  // presolves at the largest budget, every later point reuses the
+  // artifacts, and each lands on or under its predecessors' staircase
+  // steps -- served outright or solved against their dual bound.
   std::vector<size_t> order(budgets.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {

@@ -13,29 +13,29 @@
 //     interest; smaller budgets clamp the U upper bounds of the cached
 //     reduced LP (sound because every presolve reduction is monotone in
 //     the bounds -- see milp/presolve.h);
-//   - warm-start chaining: a sweep is solved in descending budget order.
-//     A schedule's simulated peak is budget-independent, so whenever the
-//     previous (larger-budget) optimum still fits the next budget it is
-//     *provably* optimal there too (shrinking the budget can only raise
-//     the optimum) and is returned without touching the solver -- on the
-//     flat regions of the overhead-vs-budget staircase most points are
-//     free. Where a solve is unavoidable, the previous point's proven
-//     lower bound carries over (same monotonicity) and branch & bound
-//     terminates as soon as any incumbent meets it, instead of re-proving
-//     the bound through the dual plateau; fitting chained optima are also
-//     injected as starting incumbents;
-//   - a chained optimum whose cost equals the compute floor (every
-//     operation exactly once) short-circuits larger budgets the same way.
+//   - the budget staircase: every proven optimum that carries a schedule
+//     enters a PlanStore (src/store/plan_store.h) -- disk-backed with
+//     store_dir set, memory-only otherwise. A schedule's simulated peak is
+//     budget-independent, so a plan proven optimal at budget B with peak
+//     P is provably optimal at every budget in [P, B] (shrinking the
+//     budget can only raise the optimum), and so is a plan at the compute
+//     floor (every operation exactly once) at any budget it fits. Such
+//     queries are served without touching the solver or the cache -- on
+//     the flat regions of the overhead-vs-budget staircase most points
+//     of a descending sweep are free. Where a solve is unavoidable, the
+//     best dual bound proven at a larger budget carries over (same
+//     monotonicity) and branch & bound terminates as soon as any
+//     incumbent meets it, instead of re-proving the bound through the
+//     dual plateau.
 //
 // Admission control, ahead of the cache:
 //
-//   - disk-backed plan store: with store_dir set, proven optima are
-//     persisted crash-safely (src/store/plan_store.h) and served across
-//     process restarts with zero solver work -- a store hit is
-//     byte-verified against the query's canonical problem content and
-//     simulator re-validated before it can be returned, so a corrupt
-//     record degrades to a miss, never to a wrong plan. Store-carried
-//     dual bounds also shortcut re-solves at nearby budgets;
+//   - persistence: with store_dir set, the staircase is written
+//     crash-safely and served across process restarts with zero solver
+//     work -- a record loaded from disk is byte-verified against the
+//     query's canonical problem content and simulator re-validated before
+//     it can be returned, so a corrupt record degrades to a miss, never to
+//     a wrong plan;
 //   - single-flight deduplication: a thundering herd of identical
 //     concurrent queries (same problem content, shape, budget, gap)
 //     coalesces onto one solve; followers block on the leader's outcome
@@ -48,7 +48,7 @@
 //
 // Concurrency and determinism: the service is thread-safe. Queries on
 // different cache entries run concurrently on the caller's threads;
-// queries sharing an entry are serialized by its mutex and chained. Every
+// queries sharing an entry are serialized by its mutex. Every
 // query keeps its own MilpOptions -- including the deterministic
 // max_lp_iterations work limit -- and its own simplex engine, and the
 // in-solve tree search is epoch-lockstep, so a given query sequence gets
@@ -64,11 +64,7 @@
 #include "core/remat_problem.h"
 #include "core/scheduler.h"
 #include "service/formulation_cache.h"
-
-namespace checkmate::store {
-class PlanStore;
-struct StoreShape;
-}  // namespace checkmate::store
+#include "store/plan_store.h"
 
 namespace checkmate::service {
 
@@ -81,9 +77,9 @@ struct PlanServiceOptions {
   int num_threads = 0;
   // Cached formulations (LRU beyond this).
   size_t max_cache_entries = 16;
-  // Directory of the disk-backed plan store; empty disables persistence.
-  // Proven optima are written crash-safely and served -- content-verified
-  // and simulator-validated -- across restarts.
+  // Directory of the disk-backed plan store; empty keeps the staircase in
+  // memory only. Proven optima are written crash-safely and served --
+  // content-verified and simulator-validated -- across restarts.
   std::string store_dir;
   // Cap on concurrent MILP ladders; overflow sheds to the heuristic
   // fallback (why_degraded names the overload). 0 = unbounded.
@@ -91,19 +87,22 @@ struct PlanServiceOptions {
 };
 
 struct ServiceStats {
+  // Solves the cache actually answered. A staircase answer (store hit or
+  // shortcut) or a shared single-flight outcome is not a query.
   int64_t queries = 0;
   int64_t formulation_hits = 0;
   int64_t formulation_misses = 0;
   int64_t budget_rebinds = 0;        // set_budget() reuses of a cached build
   int64_t presolve_runs = 0;
   int64_t presolve_reuses = 0;       // clamped-artifact reuses
-  int64_t warm_starts_injected = 0;  // adjacent optima handed to B&B
-  int64_t warm_start_shortcuts = 0;  // solves skipped: chained optimum at the compute floor
+  // Always 0: the service no longer hands incumbents to branch & bound.
+  // Kept because benchmark/plan_bench.cpp reports it.
+  int64_t warm_starts_injected = 0;
+  int64_t warm_start_shortcuts = 0;  // staircase answers, no store_dir
   int64_t evictions = 0;
-  // Admission-layer counters. A store hit or a shared
-  // single-flight outcome does NOT count as a query: `queries` keeps its
-  // meaning of "solves the cache actually answered".
-  int64_t store_hits = 0;            // plans served from the disk store
+  // Admission-layer counters; the store ones move only with a working
+  // store_dir.
+  int64_t store_hits = 0;            // staircase answers from the disk store
   int64_t store_misses = 0;          // store consulted, no serveable record
   int64_t store_puts = 0;            // proven optima durably persisted
   int64_t store_put_failures = 0;    // absorbed store write failures
@@ -166,7 +165,7 @@ class PlanService {
                           const IlpSolveOptions& options = {});
   // Budget sweep over one model (the Figure 5 workload): plan_robust per
   // point in descending budget order, so each point lands on the previous
-  // point's cache entry, presolve artifacts and warm-start chain. The
+  // point's cache entry, presolve artifacts and staircase step. The
   // remaining deadline is re-apportioned across the points so one slow
   // point cannot starve the rest; results come back in the caller's order.
   std::vector<PlanOutcome> sweep_robust(const RematProblem& problem,
@@ -175,9 +174,11 @@ class PlanService {
 
   ServiceStats stats() const;
   size_t cache_size() const { return cache_.size(); }
-  void clear_cache() { cache_.clear(); }
-  // The disk-backed plan store, or nullptr when store_dir is empty.
-  store::PlanStore* plan_store() const { return store_.get(); }
+  void clear_cache() { cache_.clear(); }  // formulations only
+  // The disk-backed plan store, or nullptr unless one is open on store_dir.
+  store::PlanStore* plan_store() const {
+    return store_->directory().empty() ? nullptr : store_.get();
+  }
 
  private:
   // One in-flight solve; followers with an identical query
@@ -193,10 +194,9 @@ class PlanService {
   // do not already cover it. Entry mutex must be held.
   void ensure_presolve(CacheEntry& entry, double reference_budget_bytes,
                        const IlpSolveOptions& options);
-  // Answers one query against a locked entry. `known_lower_bound` (-inf
-  // when absent) is an externally proven lower bound on this query's
-  // optimum -- e.g. a store-carried dual bound -- merged into the solve's
-  // termination certificate.
+  // Solves one query against a locked entry. `known_lower_bound` (-inf
+  // when absent) is a proven lower bound on this query's optimum -- the
+  // staircase's dual bound -- handed to the solve's termination test.
   ScheduleResult solve_locked(CacheEntry& entry, double budget_bytes,
                               const IlpSolveOptions& options,
                               double known_lower_bound);
@@ -215,7 +215,8 @@ class PlanService {
   PlanServiceOptions opts_;
   FormulationCache cache_;
 
-  std::unique_ptr<store::PlanStore> store_;  // null unless store_dir set
+  // The budget staircase: on store_dir when it opens, else memory-only.
+  std::unique_ptr<store::PlanStore> store_;
   std::mutex admission_mu_;  // guards inflight_ and active_solves_
   std::unordered_map<uint64_t, std::shared_ptr<Flight>> inflight_;
   size_t active_solves_ = 0;  // tracked only when max_inflight_solves > 0

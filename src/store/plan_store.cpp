@@ -229,8 +229,7 @@ void quarantine_file(const std::string& path) {
 
 }  // namespace
 
-uint64_t PlanStore::index_key(uint64_t fingerprint,
-                              const StoreShape& shape) const {
+uint64_t shape_key(uint64_t fingerprint, const StoreShape& shape) {
   uint64_t h = fingerprint;
   auto mix = [&h](uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
@@ -243,6 +242,7 @@ uint64_t PlanStore::index_key(uint64_t fingerprint,
 }
 
 PlanStore::PlanStore(std::string directory) : dir_(std::move(directory)) {
+  if (dir_.empty()) return;  // memory-only: nothing to load
   std::error_code ec;
   fs::create_directories(dir_, ec);
   // Recovery-on-load: index every intact record, quarantine everything
@@ -299,7 +299,7 @@ PlanStore::PlanStore(std::string directory) : dir_(std::move(directory)) {
     rec.solution = std::move(dec.solution);
     rec.path = path;
     rec.validated = false;  // earns simulator validation on first use
-    index_[index_key(dec.fingerprint, dec.shape)].push_back(std::move(rec));
+    index_[shape_key(dec.fingerprint, dec.shape)].push_back(std::move(rec));
     ++stats_.records_loaded;
   }
 }
@@ -320,7 +320,7 @@ std::optional<ScheduleResult> PlanStore::lookup(const RematProblem& problem,
                                                 double* staircase_bound_out) {
   if (staircase_bound_out) *staircase_bound_out = kNegInf;
   const std::string blob = problem.serialize_canonical();
-  const uint64_t key = index_key(problem.fingerprint(), shape);
+  const uint64_t key = shape_key(problem.fingerprint(), shape);
   const double ideal = problem.total_cost_all_nodes();
 
   std::lock_guard lock(mu_);
@@ -367,11 +367,10 @@ std::optional<ScheduleResult> PlanStore::lookup(const RematProblem& problem,
     if (staircase_bound_out &&
         budget_bytes <= rec.solved_budget * (1.0 + kRelTol))
       *staircase_bound_out = std::max(*staircase_bound_out, rec.best_bound);
-    // Staircase serve test, mirroring the in-memory warm-start chain: the
-    // schedule must fit, and either the proof carries down (budget within
-    // [peak, solved] and the recorded cost/bound pair meets this query's
-    // gap) or the cost already sits at the compute floor, which no budget
-    // can beat.
+    // Staircase serve test: the schedule must fit, and either the proof
+    // carries down (budget within [peak, solved] and the recorded
+    // cost/bound pair meets this query's gap) or the cost already sits at
+    // the compute floor, which no budget can beat.
     const bool fits = rec.peak_bytes <= budget_bytes * (1.0 + kRelTol) + 1e-9;
     const bool bound_carries =
         budget_bytes <= rec.solved_budget * (1.0 + kRelTol) &&
@@ -400,7 +399,7 @@ std::optional<ScheduleResult> PlanStore::lookup(const RematProblem& problem,
   const bool bound_carries =
       budget_bytes <= rec.solved_budget * (1.0 + kRelTol);
   out.best_bound = bound_carries ? rec.best_bound : out.cost;
-  out.message = "plan store: proven optimum served from disk";
+  out.message = "plan store: proven optimum served from the staircase";
   ++stats_.hits;
   return out;
 }
@@ -408,10 +407,10 @@ std::optional<ScheduleResult> PlanStore::lookup(const RematProblem& problem,
 bool PlanStore::put(const RematProblem& problem, const StoreShape& shape,
                     double solved_budget_bytes, double relative_gap,
                     const ScheduleResult& result) {
-  if (!result.feasible) return false;
+  if (!result.feasible || result.solution.R.empty()) return false;
   const std::string blob = problem.serialize_canonical();
   const uint64_t fingerprint = problem.fingerprint();
-  const uint64_t key = index_key(fingerprint, shape);
+  const uint64_t key = shape_key(fingerprint, shape);
 
   std::lock_guard lock(mu_);
   auto& records = index_[key];
@@ -438,6 +437,10 @@ bool PlanStore::put(const RematProblem& problem, const StoreShape& shape,
   rec.peak_bytes = result.peak_memory;
   rec.solution = result.solution;
   rec.validated = true;  // born from a live, simulator-validated solve
+  if (dir_.empty()) {
+    records.push_back(std::move(rec));
+    return true;
+  }
 
   const std::string payload =
       encode_payload(fingerprint, shape, blob, solved_budget_bytes,

@@ -1,8 +1,8 @@
-// Disk-backed plan store: proven optima that outlive the solver process.
+// Plan store: the budget staircase of proven optima, optionally on disk.
 //
-// Checkmate plans are solved once and reused across many training runs, so
-// the expensive artifact -- a proven-optimal schedule plus its dual bound
-// -- must survive restarts. The store persists one record per proven
+// Checkmate asks the same model at many budgets (Figure 5 sweeps, the
+// Section 6.4 max-batch search), and its plans are solved once and reused
+// across many training runs. The store keeps one record per proven
 // optimum, keyed by the canonical problem fingerprint plus the formulation
 // shape, and serves any later query whose budget lands on that record's
 // staircase step: a schedule proven optimal at budget B with simulated
@@ -10,7 +10,13 @@
 // monotonicity: shrinking the budget can only raise the optimum, and the
 // recorded dual bound still certifies the cost), so records double as the
 // steps of the overhead-vs-budget staircase and a 10-point sweep typically
-// persists only the 3-4 distinct optima it actually contains.
+// keeps only the 3-4 distinct optima it actually contains. A query the
+// staircase cannot serve still gets the best dual bound the records imply.
+//
+// With an empty directory the store is memory-only: nothing is loaded, no
+// file is written, and put() keeps the record in the index for the life
+// of the instance. The plan service runs one whenever it has no store
+// directory, so this file is the only place the staircase rule lives.
 //
 // Crash-safety contract (TCPSPSuite's results-database shape, hardened):
 //   - writes are atomic: serialize to a temp file in the store directory,
@@ -59,7 +65,7 @@ namespace checkmate::store {
 inline constexpr uint32_t kPlanStoreFormatVersion = 1;
 
 // The formulation-shape half of a record key (the problem half is the
-// canonical blob). Mirrors service::FormulationKey minus the fingerprint.
+// canonical blob); service::FormulationKey pairs it with the fingerprint.
 struct StoreShape {
   bool partitioned = true;
   bool eliminate_diag_free = true;
@@ -67,8 +73,20 @@ struct StoreShape {
   bool has_cost_cap = false;
   double cost_cap = 0.0;
 
+  // The shape of a build or a query: IlpBuildOptions and IlpSolveOptions
+  // carry the same shape fields.
+  template <typename Options>
+  static StoreShape of(const Options& o) {
+    return {o.partitioned, o.eliminate_diag_free, o.formulation,
+            o.cost_cap.has_value(), o.cost_cap.value_or(0.0)};
+  }
+
   friend bool operator==(const StoreShape&, const StoreShape&) = default;
 };
+
+// 64-bit routing hash of (problem fingerprint, shape). Only routes: every
+// user re-checks the full key on a match.
+uint64_t shape_key(uint64_t fingerprint, const StoreShape& shape);
 
 struct StoreStats {
   int64_t records_loaded = 0;       // valid records indexed by load()
@@ -77,7 +95,8 @@ struct StoreStats {
   int64_t misses = 0;               // lookups not served
   int64_t validation_quarantines = 0;  // records that failed content
                                        // equality or simulator validation
-  int64_t puts = 0;                 // records durably written
+  int64_t puts = 0;                 // records durably written (0 when
+                                    // memory-only)
   int64_t put_failures = 0;         // absorbed write failures
 };
 
@@ -87,7 +106,8 @@ struct StoreStats {
 class PlanStore {
  public:
   // Creates the directory if needed, loads every *.plan record, and
-  // quarantines whatever fails the header/checksum checks.
+  // quarantines whatever fails the header/checksum checks. An empty
+  // `directory` makes a memory-only store.
   explicit PlanStore(std::string directory);
 
   PlanStore(const PlanStore&) = delete;
@@ -108,7 +128,8 @@ class PlanStore {
                                        double relative_gap,
                                        double* staircase_bound_out = nullptr);
 
-  // Persists a proven optimum crash-safely. Best-effort: any I/O failure
+  // Indexes a proven optimum (`result` must carry its schedule) and, with
+  // a directory, persists it crash-safely. Best-effort: any I/O failure
   // (injected or real) returns false and leaves the store directory
   // consistent; the record is still served from memory for the lifetime
   // of this instance. Records whose staircase step is already covered by
@@ -119,7 +140,7 @@ class PlanStore {
 
   StoreStats stats() const;
   size_t size() const;  // records currently indexed
-  const std::string& directory() const { return dir_; }
+  const std::string& directory() const { return dir_; }  // "" = memory-only
 
  private:
   struct Record {
@@ -131,16 +152,15 @@ class PlanStore {
     double best_bound = 0.0;
     double peak_bytes = 0.0;
     RematSolution solution;
-    std::string path;  // on-disk file ("" = memory-only after failed put)
+    std::string path;  // on-disk file ("" = memory-only)
     // Set once the simulator has re-validated this record in this process
     // (records born from a live solve start true; loaded records earn it
     // on first use). Only validated records serve plans or export bounds.
     bool validated = false;
   };
 
-  // fingerprint+shape -> records, newest last. The 64-bit key only routes;
-  // every use re-checks problem_blob and shape.
-  uint64_t index_key(uint64_t fingerprint, const StoreShape& shape) const;
+  // shape_key -> records, newest last. The 64-bit key only routes; every
+  // use re-checks problem_blob and shape.
   void quarantine_locked(uint64_t key, size_t idx, const char* why);
 
   std::string dir_;

@@ -1,5 +1,6 @@
 // Plan service: problem fingerprints, formulation-cache budget rebinds,
-// presolve-artifact clamping, warm-start chaining and the thread budget.
+// presolve-artifact clamping, the in-memory budget staircase and the
+// thread budget.
 #include "service/plan_service.h"
 
 #include <gtest/gtest.h>
@@ -131,13 +132,15 @@ TEST(PlanService, SweepMatchesColdSolvesAndIsMonotone) {
     ASSERT_EQ(cold.milp_status, milp::MilpStatus::kOptimal);
     // Identical proven-optimal objective at every point.
     EXPECT_NEAR(got.cost, cold.cost, 1e-6) << "budget " << budgets[i];
-    // Chaining must preserve monotonicity: more memory never costs more.
+    // The staircase must preserve monotonicity: more memory never costs
+    // more.
     EXPECT_LE(got.cost, prev_cost + 1e-9);
     prev_cost = got.cost;
   }
 
+  // The same four answers, each either solved or served by the staircase.
   const auto st = svc.stats();
-  EXPECT_EQ(st.queries, 4);
+  EXPECT_EQ(st.queries + st.warm_start_shortcuts, 4);
   EXPECT_EQ(st.formulation_misses, 1);
   EXPECT_EQ(st.presolve_runs, 1);  // once, at the largest budget
   EXPECT_GE(st.presolve_reuses + st.warm_start_shortcuts, 3);
@@ -197,7 +200,7 @@ TEST(PlanService, BelowFloorBudgetIsInfeasibleWithoutABuild) {
   EXPECT_EQ(svc.cache_size(), 0u);
 }
 
-TEST(PlanService, GenerousBudgetsInheritTheChainedOptimum) {
+TEST(PlanService, GenerousBudgetsShareOneStaircaseStep) {
   // At generous budgets the optimum sits at the compute floor; once one
   // point is solved, its schedule is provably optimal for the rest of the
   // flat region and the solver is skipped outright.
@@ -222,16 +225,53 @@ TEST(PlanService, LruEvictionKeepsAnswersCorrect) {
   service::PlanService svc(tiny);
   const auto a1 = svc.plan_robust(pa, 9.0, fast_opts()).result;
   const auto b1 = svc.plan_robust(pb, 11.0, fast_opts()).result;
-  // Rebuilt after eviction.
+  // pa's formulation is evicted, but its answer is not: the staircase
+  // serves the repeat with zero solver work.
   const auto a2 = svc.plan_robust(pa, 9.0, fast_opts()).result;
   ASSERT_EQ(a1.milp_status, milp::MilpStatus::kOptimal);
   ASSERT_EQ(b1.milp_status, milp::MilpStatus::kOptimal);
   ASSERT_EQ(a2.milp_status, milp::MilpStatus::kOptimal);
   EXPECT_NEAR(a1.cost, a2.cost, 1e-9);
+  EXPECT_EQ(a2.nodes, 0);
+  EXPECT_EQ(svc.stats().queries, 2);
+  EXPECT_EQ(svc.stats().formulation_misses, 2);
+
+  // Below a1's peak the staircase cannot serve: pa is rebuilt and solved.
+  const double tight = pa.memory_floor();
+  ASSERT_LT(tight, a1.peak_memory);
+  const auto a3 = svc.plan_robust(pa, tight, fast_opts()).result;
+  ASSERT_EQ(a3.milp_status, milp::MilpStatus::kOptimal);
+  EXPECT_NEAR(a3.cost, Scheduler(pa).solve_optimal_ilp(tight, fast_opts()).cost,
+              1e-6);
   const auto st = svc.stats();
+  EXPECT_EQ(st.queries, 3);
   EXPECT_EQ(st.formulation_misses, 3);
   EXPECT_GE(st.evictions, 2);
   EXPECT_EQ(svc.cache_size(), 1u);
+}
+
+TEST(PlanService, StaircaseKeepsEveryStepNotJustTheLastSolve) {
+  // Without a store directory the service still keeps every proven step:
+  // re-asking a small budget after a larger one whose plan does not fit it
+  // is served, not re-solved.
+  const auto p = RematProblem::unit_training_chain(6);
+  const double small = 5.0;
+  const double large = p.total_memory();
+  service::PlanService svc;
+  const auto first = svc.plan_robust(p, small, fast_opts()).result;
+  const auto big = svc.plan_robust(p, large, fast_opts()).result;
+  ASSERT_EQ(first.milp_status, milp::MilpStatus::kOptimal);
+  ASSERT_EQ(big.milp_status, milp::MilpStatus::kOptimal);
+  ASSERT_GT(big.peak_memory, small) << "the large plan must not fit small";
+  const auto again = svc.plan_robust(p, small, fast_opts());
+  ASSERT_EQ(again.provenance, service::PlanProvenance::kProvenOptimal);
+  EXPECT_DOUBLE_EQ(again.result.cost, first.cost);
+  EXPECT_EQ(again.result.nodes, 0);
+  const auto st = svc.stats();
+  EXPECT_EQ(st.queries, 2);
+  EXPECT_EQ(st.warm_start_shortcuts, 1);
+  EXPECT_EQ(st.store_hits, 0);
+  EXPECT_EQ(svc.plan_store(), nullptr);
 }
 
 TEST(PlanService, NegativeQueryThreadCountGetsTheServiceBudget) {
@@ -239,7 +279,7 @@ TEST(PlanService, NegativeQueryThreadCountGetsTheServiceBudget) {
   // service's thread budget, not resolve_tree_threads' auto-all-cores path
   // (outside the budget, and on hardware_concurrency()==0 platforms
   // nondeterministically sized). Both services fresh: a repeat query would
-  // answer from the warm-start chain (nodes == 0) instead of solving.
+  // answer from the staircase (nodes == 0) instead of solving.
   const auto p = RematProblem::unit_training_chain(6);
   const double budget = 8.0;  // tight-ish but feasible
   service::PlanService svc_neg;
@@ -278,7 +318,7 @@ TEST(PlanService, ThreadBudgetDoesNotChangeAnswers) {
 
   // An explicit per-query num_threads overrides the budget and still
   // changes nothing. (Fresh service: a repeat query against svc_wide would
-  // legitimately answer from the warm-start chain without solving.)
+  // legitimately answer from the staircase without solving.)
   service::PlanService svc_pinned;
   IlpSolveOptions pinned = fast_opts();
   pinned.num_threads = 2;

@@ -1,8 +1,9 @@
 // Crash-safe plan store + service admission layer.
 //
-// The store half: records round-trip through disk, survive a process
-// "restart" (a fresh PlanStore on the same directory), serve the budget
-// staircase, and every corruption mode -- truncation, bit flips, version
+// The store half: records round-trip through disk (and through a
+// memory-only store, which writes nothing), survive a process "restart"
+// (a fresh PlanStore on the same directory), serve the budget staircase,
+// and every corruption mode -- truncation, bit flips, version
 // skew, even a checksum-consistent flip -- degrades to a quarantined
 // record and a cache miss, never a wrong plan. The admission half: a
 // store populated by one service serves proven optima (zero solver work)
@@ -77,16 +78,40 @@ uint64_t fnv1a(const std::string& bytes, size_t from, size_t len) {
   return h;
 }
 
-TEST(PlanStore, PutLookupRoundTripServesValidatedOptimum) {
-  TempDir dir("checkmate_store");
+// The staircase tests run on a disk-backed store and on a memory-only one
+// (empty directory string): the staircase rule is the same, only
+// persistence differs.
+class PlanStoreBacking : public ::testing::TestWithParam<bool> {
+ protected:
+  bool on_disk() const { return GetParam(); }
+  std::string directory() const { return on_disk() ? dir_.path() : ""; }
+
+  // A disk store wrote and counted one file per record; a memory-only
+  // store wrote nothing, neither in the test directory nor in the working
+  // directory an empty path resolves to, and counted nothing.
+  void expect_persisted(const PlanStore& store, size_t records) {
+    const size_t want = on_disk() ? records : 0;
+    EXPECT_EQ(store.stats().puts, static_cast<int64_t>(want));
+    EXPECT_EQ(files_with_ext(dir_.path(), ".plan").size(), want);
+    EXPECT_TRUE(files_with_ext(fs::current_path().string(), ".plan").empty());
+  }
+
+  TempDir dir_{"checkmate_store"};
+};
+
+INSTANTIATE_TEST_SUITE_P(Backing, PlanStoreBacking, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Disk" : "MemoryOnly";
+                         });
+
+TEST_P(PlanStoreBacking, PutLookupRoundTripServesValidatedOptimum) {
   auto p = RematProblem::unit_training_chain(6);
   const double budget = p.total_memory();
   const ScheduleResult solved = solve_fresh(p, budget);
 
-  PlanStore store(dir.path());
+  PlanStore store(directory());
   ASSERT_TRUE(store.put(p, StoreShape{}, budget, 1e-4, solved));
-  EXPECT_EQ(store.stats().puts, 1);
-  ASSERT_EQ(files_with_ext(dir.path(), ".plan").size(), 1u);
+  expect_persisted(store, 1);
 
   auto hit = store.lookup(p, StoreShape{}, budget, 1e-4);
   ASSERT_TRUE(hit.has_value());
@@ -118,8 +143,7 @@ TEST(PlanStore, RestartServesBitIdenticalPlanFromDisk) {
   EXPECT_EQ(hit->nodes, 0);
 }
 
-TEST(PlanStore, StaircaseServesDownToThePlanPeakAndNotBelow) {
-  TempDir dir("checkmate_store");
+TEST_P(PlanStoreBacking, StaircaseServesDownToThePlanPeakAndNotBelow) {
   auto p = RematProblem::unit_training_chain(8);
   // Solve at a fractional mid budget: the optimum's integral peak lands
   // strictly below it, opening a real staircase step [peak, budget].
@@ -128,8 +152,9 @@ TEST(PlanStore, StaircaseServesDownToThePlanPeakAndNotBelow) {
   const ScheduleResult solved = solve_fresh(p, top);
   ASSERT_GT(top, solved.peak_memory);
 
-  PlanStore store(dir.path());
+  PlanStore store(directory());
   ASSERT_TRUE(store.put(p, StoreShape{}, top, 1e-4, solved));
+  expect_persisted(store, 1);
   // Any budget on [peak, solved] is on this record's staircase step.
   const double mid = 0.5 * (solved.peak_memory + top);
   auto hit = store.lookup(p, StoreShape{}, mid, 1e-4);
@@ -335,6 +360,34 @@ TEST(PlanServiceStore, SweepRepersistsOnlyDistinctStaircaseSteps) {
     }
   }
   EXPECT_EQ(svc2.stats().queries, 0);
+}
+
+TEST(PlanServiceStore, ObjectiveOnlyResultsAreNotPersisted) {
+  // An unpartitioned query proves an optimal objective but returns no
+  // schedule, so it cannot serve anyone: it must not enter the store, and
+  // a restart must find nothing to load or quarantine.
+  TempDir dir("checkmate_store");
+  auto p = RematProblem::unit_training_chain(1);
+  const double budget = p.total_memory();
+  IlpSolveOptions objective_only;
+  objective_only.partitioned = false;
+  service::PlanServiceOptions sopts;
+  sopts.store_dir = dir.path();
+  {
+    service::PlanService svc(sopts);
+    const PlanOutcome out = svc.plan_robust(p, budget, objective_only);
+    ASSERT_EQ(out.provenance, PlanProvenance::kProvenOptimal);
+    EXPECT_TRUE(out.result.solution.R.empty());
+    EXPECT_EQ(svc.stats().store_puts, 0);
+  }
+  EXPECT_TRUE(files_with_ext(dir.path(), ".plan").empty());
+  service::PlanService svc(sopts);
+  ASSERT_NE(svc.plan_store(), nullptr);
+  EXPECT_EQ(svc.plan_store()->stats().records_loaded, 0);
+  const PlanOutcome again = svc.plan_robust(p, budget, objective_only);
+  EXPECT_EQ(again.provenance, PlanProvenance::kProvenOptimal);
+  EXPECT_EQ(svc.plan_store()->stats().validation_quarantines, 0);
+  EXPECT_TRUE(files_with_ext(dir.path(), ".quarantined").empty());
 }
 
 TEST(PlanServiceStore, ThunderingHerdCostsExactlyOneSolve) {
