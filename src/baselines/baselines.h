@@ -17,6 +17,8 @@
 // and simulator as the Checkmate ILP.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,10 +111,29 @@ RematSolution checkpoint_all_schedule(const RematProblem& p);
 // Our extension (not in the paper's baseline set): a Belady-style
 // budget-aware retention policy. After every stage, values are retained by
 // ascending next-use stage until `retention_cap_bytes` is exhausted;
-// everything else is dropped and rematerialized on demand. Used as a
-// high-quality incumbent generator for branch & bound at tight budgets,
-// where threshold rounding of the LP fails to land under budget.
+// everything else is dropped and rematerialized on demand. best_seed runs
+// it over a grid of caps to cover tight budgets, where the checkpoint
+// families and threshold rounding of the LP fail to land under budget.
 RematSolution budget_aware_schedule(const RematProblem& p,
                                     double retention_cap_bytes);
+
+// ---------------------------------------------------------------------
+// The seed portfolio. The ILP's feasible set contains every baseline
+// schedule (Section 6.2), so one portfolio serves as branch & bound seeds,
+// as the fallback ladder's heuristic rung and as the max-batch probe's
+// short-circuit; each caller supplies its own `accept` test.
+//
+// Walks checkpoint-all, Chen sqrt(n), linearized sqrt(n), linearized
+// greedy and AP greedy, then budget_aware_schedule at ten retention caps
+// {0.95 ... 0.03} x (budget_bytes - fixed_overhead), one family at a time.
+// Returns the cheapest candidate by compute_cost whose cost is within
+// `cost_cap` (1e-9 relative tolerance) and that `accept` admits; the first
+// one offered wins ties. `accept` is called only on candidates strictly
+// cheaper than the best admitted so far, so the last candidate it admitted
+// is the one returned. nullopt when none is admitted.
+std::optional<RematSolution> best_seed(
+    const RematProblem& p, double budget_bytes,
+    const std::optional<double>& cost_cap,
+    const std::function<bool(const RematSolution&)>& accept);
 
 }  // namespace checkmate::baselines

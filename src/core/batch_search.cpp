@@ -4,9 +4,6 @@
 #include <memory>
 
 #include "baselines/baselines.h"
-#include "core/ilp_builder.h"
-#include "core/rounding.h"
-#include "milp/milp.h"
 #include "service/plan_service.h"
 
 namespace checkmate {
@@ -76,37 +73,25 @@ MaxBatchResult max_batch_size(const ProblemFactory& factory,
 }
 
 FeasibilityProbe make_ilp_probe(double budget_bytes,
-                                double per_probe_time_limit_sec,
-                                const milp::MilpOptions& base_milp) {
+                                double per_probe_time_limit_sec) {
   // One plan service per probe: each bisection step is a distinct problem
   // (the batch scales the memories), but repeated probes of one batch size
   // -- or a later re-bracketing pass -- hit the cached formulation. The
   // service is shared across copies of the returned std::function.
   auto service = std::make_shared<service::PlanService>();
-  return [budget_bytes, per_probe_time_limit_sec, base_milp,
+  return [budget_bytes, per_probe_time_limit_sec,
           service](const RematProblem& p) {
     // Cheap necessary condition: the structural working-set floor must fit.
     if (p.memory_floor() > budget_bytes) return false;
     const double cost_cap = 2.0 * p.forward_cost() + p.backward_cost();
 
-    // Sufficient condition: any baseline schedule under budget and cap
-    // proves feasibility without touching the MILP.
-    using baselines::BaselineKind;
-    for (auto kind :
-         {BaselineKind::kCheckpointAll, BaselineKind::kLinearizedGreedy}) {
-      for (const auto& s : baselines::baseline_schedules(p, kind)) {
-        if (peak_memory_usage(p, s.solution) <= budget_bytes &&
-            s.solution.compute_cost(p) <= cost_cap)
-          return true;
-      }
-    }
-    const double headroom = budget_bytes - p.fixed_overhead;
-    for (double frac : {0.85, 0.6, 0.4, 0.25, 0.12}) {
-      auto s = baselines::budget_aware_schedule(p, frac * headroom);
-      if (peak_memory_usage(p, s) <= budget_bytes &&
-          s.compute_cost(p) <= cost_cap)
-        return true;
-    }
+    // Sufficient condition: any seed-portfolio schedule under budget and
+    // cap proves feasibility without touching the MILP.
+    if (baselines::best_seed(p, budget_bytes, cost_cap,
+                             [&](const RematSolution& s) {
+                               return peak_memory_usage(p, s) <= budget_bytes;
+                             }))
+      return true;
 
     // MILP feasibility through the plan service (cost cap keyed into the
     // formulation cache; first-incumbent mode). Only a MILP plan answers
@@ -116,14 +101,6 @@ FeasibilityProbe make_ilp_probe(double budget_bytes,
     opts.time_limit_sec = per_probe_time_limit_sec;
     opts.stop_at_first_incumbent = true;
     opts.cost_cap = cost_cap;
-    opts.presolve = base_milp.presolve;
-    opts.pseudocost_branching = base_milp.pseudocost_branching;
-    opts.relative_gap = base_milp.relative_gap;
-    if (base_milp.max_lp_iterations !=
-        std::numeric_limits<int64_t>::max())
-      opts.max_lp_iterations = base_milp.max_lp_iterations;
-    if (base_milp.max_nodes != milp::MilpOptions{}.max_nodes)
-      opts.max_nodes = base_milp.max_nodes;
     const auto provenance =
         service->plan_robust(p, budget_bytes, opts).provenance;
     return provenance == service::PlanProvenance::kProvenOptimal ||

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/remat_problem.h"
-#include "milp/milp.h"
 
 namespace checkmate {
 
@@ -60,16 +59,12 @@ MaxBatchResult max_batch_size(const ProblemFactory& factory,
                               const MaxBatchOptions& options = {});
 
 // Probe backed by the Checkmate MILP in first-incumbent (feasibility) mode,
-// with the Eq. 10 cost cap. `budget_bytes` matches MaxBatchOptions.
-// `base_milp` carries the solver knobs -- honored fields: presolve,
-// pseudocost_branching, relative_gap and the deterministic
-// max_lp_iterations / max_nodes work limits; time limit and feasibility
-// mode are overridden per probe, the remaining MilpOptions fields keep the
-// scheduler-path defaults. Solves are routed through a
-// service::PlanService shared by all copies of the returned probe, so
-// re-probed instances hit the formulation cache.
+// with the Eq. 10 cost cap. `budget_bytes` matches MaxBatchOptions. A
+// baselines::best_seed schedule within budget and cap answers without a
+// solve. Solves are routed through a service::PlanService shared by all
+// copies of the returned probe, so re-probed instances hit the formulation
+// cache.
 FeasibilityProbe make_ilp_probe(double budget_bytes,
-                                double per_probe_time_limit_sec = 30.0,
-                                const milp::MilpOptions& base_milp = {});
+                                double per_probe_time_limit_sec = 30.0);
 
 }  // namespace checkmate

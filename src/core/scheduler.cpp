@@ -77,38 +77,23 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   if (reuse.known_lower_bound_cost != -lp::kInf)
     mopts.known_lower_bound = form.scale_cost(reuse.known_lower_bound_cost);
 
-  // Seed branch & bound with the cheapest feasible baseline schedule so
-  // bound pruning is active from the root (Section 6.2: the ILP's feasible
-  // set is a superset of every baseline's). An already-expired deadline
-  // skips the pass: the search terminates at its first barrier anyway and
-  // the caller's fallback ladder supplies the heuristic plan.
+  // Seed branch & bound with the cheapest seed-portfolio schedule that
+  // assembles into the formulation, so bound pruning is active from the
+  // root (Section 6.2: the ILP's feasible set is a superset of every
+  // baseline's). An already-expired deadline skips the pass: the search
+  // terminates at its first barrier anyway and the caller's fallback
+  // ladder supplies the heuristic plan.
   if (partitioned && options.use_rounding_heuristic &&
       !options.deadline.expired() && !options.cancel.cancelled()) {
-    double best_seed_cost = lp::kInf;
-    std::optional<std::vector<double>> best_seed;
-    auto offer_seed = [&](const RematSolution& sol) {
-      const double cost = sol.compute_cost(problem);
-      if (cost >= best_seed_cost) return;
-      if (auto x = form.assemble_assignment(sol)) {
-        best_seed = std::move(*x);
-        best_seed_cost = cost;
-      }
-    };
-    using baselines::BaselineKind;
-    for (auto kind :
-         {BaselineKind::kCheckpointAll, BaselineKind::kChenSqrtN,
-          BaselineKind::kLinearizedSqrtN, BaselineKind::kLinearizedGreedy,
-          BaselineKind::kApGreedy}) {
-      for (const auto& bs : baselines::baseline_schedules(problem, kind))
-        offer_seed(bs.solution);
-    }
-    // Belady-style budget-aware retention covers the tight-budget regime
-    // where checkpoint-family heuristics bust the budget.
-    const double headroom = budget_bytes - problem.fixed_overhead;
-    for (double frac :
-         {0.95, 0.85, 0.75, 0.6, 0.45, 0.3, 0.2, 0.12, 0.06, 0.03})
-      offer_seed(baselines::budget_aware_schedule(problem, frac * headroom));
-    if (best_seed) mopts.initial_solutions.push_back(std::move(*best_seed));
+    std::optional<std::vector<double>> seed;
+    baselines::best_seed(problem, budget_bytes, form.options().cost_cap,
+                         [&](const RematSolution& sol) {
+                           auto x = form.assemble_assignment(sol);
+                           if (!x) return false;
+                           seed = std::move(*x);
+                           return true;
+                         });
+    if (seed) mopts.initial_solutions.push_back(std::move(*seed));
   }
 
   milp::IncumbentHeuristic heuristic;

@@ -19,7 +19,8 @@ namespace checkmate {
 struct IlpSolveOptions {
   double time_limit_sec = 60.0;
   double relative_gap = 1e-4;
-  bool use_rounding_heuristic = true;  // inject two-phase rounding incumbents
+  // Inject two-phase rounding incumbents and the baselines::best_seed seed.
+  bool use_rounding_heuristic = true;
   bool partitioned = true;             // frontier-advancing stages
   bool eliminate_diag_free = true;
   // MILP backend: the dense Problem 9 encoding or the sparse

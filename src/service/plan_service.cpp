@@ -39,39 +39,6 @@ IlpSolveOptions apportion_deadline(const IlpSolveOptions& base,
   return o;
 }
 
-// The heuristic rung of the fallback ladder: cheapest simulator-validated
-// baseline schedule that fits the budget. Checkpoint-all first (the safe
-// anchor: minimal retention), then the Chen sqrt(n) family and greedy
-// variants, then budget-aware retention caps for the tight-budget regime.
-// None of these touch the LP machinery, so they survive every numerical
-// failure and fault schedule the solver can hit. A query's cost cap
-// (Eq. 10) binds here exactly as it binds the MILP: over-cap candidates
-// are dropped.
-std::optional<ScheduleResult> heuristic_fallback(
-    const RematProblem& problem, double budget_bytes,
-    const std::optional<double>& cost_cap) {
-  std::optional<ScheduleResult> best;
-  auto offer = [&](const RematSolution& sol) {
-    ScheduleResult eval = evaluate_schedule_against(problem, sol, budget_bytes);
-    if (!eval.feasible) return;
-    if (cost_cap && eval.cost > *cost_cap + 1e-9 * std::max(1.0, *cost_cap))
-      return;
-    if (!best || eval.cost < best->cost) best = std::move(eval);
-  };
-  offer(baselines::checkpoint_all_schedule(problem));
-  using baselines::BaselineKind;
-  for (auto kind : {BaselineKind::kChenSqrtN, BaselineKind::kLinearizedSqrtN,
-                    BaselineKind::kLinearizedGreedy, BaselineKind::kApGreedy}) {
-    for (const auto& bs : baselines::baseline_schedules(problem, kind))
-      offer(bs.solution);
-  }
-  const double headroom = budget_bytes - problem.fixed_overhead;
-  for (double frac : {0.95, 0.85, 0.75, 0.6, 0.45, 0.3, 0.2, 0.12, 0.06, 0.03})
-    offer(baselines::budget_aware_schedule(problem, frac * headroom));
-  if (best) best->message = "plan service: heuristic fallback";
-  return best;
-}
-
 // The outcome's certificate: the tighter of `bound` and the compute floor
 // (every operation once), and the plan's relative gap to it.
 void certify(PlanOutcome& out, const RematProblem& problem, double bound) {
@@ -80,20 +47,33 @@ void certify(PlanOutcome& out, const RematProblem& problem, double bound) {
                               std::max(1e-12, out.result.cost));
 }
 
-// Rungs 3-4 of the ladder as a standalone outcome: the cheapest validated
-// heuristic schedule, or -- only when no heuristic fits -- a non-proof
-// kInfeasible. Used both by the ladder tail and by admission paths that
-// must answer without a solve (overload shedding, a coalesced follower
-// whose deadline expired while waiting).
+// Rungs 3-4 of the ladder as a standalone outcome: the cheapest
+// seed-portfolio schedule the simulator validates at this budget, or --
+// only when none fits -- a non-proof kInfeasible. The portfolio never
+// touches the LP machinery, so the rung survives every numerical failure
+// and fault schedule the solver can hit, and the query's cost cap (Eq. 10)
+// binds here exactly as it binds the MILP. Used both by the ladder tail and
+// by admission paths that must answer without a solve (overload shedding,
+// a coalesced follower whose deadline expired while waiting).
 PlanOutcome heuristic_or_infeasible(const RematProblem& problem,
                                     double budget_bytes,
                                     const IlpSolveOptions& options,
                                     std::string degradation) {
   PlanOutcome out;
   out.memory_floor_bytes = problem.memory_floor();
-  if (auto fb = heuristic_fallback(problem, budget_bytes, options.cost_cap)) {
+  std::optional<ScheduleResult> fallback;
+  baselines::best_seed(problem, budget_bytes, options.cost_cap,
+                       [&](const RematSolution& sol) {
+                         ScheduleResult eval = evaluate_schedule_against(
+                             problem, sol, budget_bytes);
+                         if (!eval.feasible) return false;
+                         fallback = std::move(eval);
+                         return true;
+                       });
+  if (fallback) {
     out.provenance = PlanProvenance::kHeuristicFallback;
-    out.result = std::move(*fb);
+    out.result = std::move(*fallback);
+    out.result.message = "plan service: heuristic fallback";
   } else {
     out.provenance = PlanProvenance::kInfeasible;
     out.result = infeasible_result(

@@ -4,6 +4,8 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "baselines/baselines.h"
 #include "core/plan.h"
@@ -20,6 +22,13 @@ ProblemFactory unit_chain_factory(int layers) {
     p.name += "_b" + std::to_string(batch);
     return p;
   };
+}
+
+// (batch, feasible) for every probe, in the order the search made them.
+std::vector<std::pair<int64_t, bool>> probe_trace(const MaxBatchResult& res) {
+  std::vector<std::pair<int64_t, bool>> trace;
+  for (const auto& pr : res.probes) trace.emplace_back(pr.batch, pr.feasible);
+  return trace;
 }
 
 TEST(MaxBatch, MonotoneSyntheticProbe) {
@@ -142,6 +151,11 @@ TEST(MaxBatch, IlpProbeRespectsBudgetAndCostCap) {
   auto res = max_batch_size(factory, probe, opts);
   // Interior gradients need 4 resident values: batch 2 => 8 units exactly.
   EXPECT_EQ(res.max_batch, 2);
+  // The whole probe trace is pinned, not just its answer: seed short-cuts
+  // and MILP probes must agree on every batch size the search visits.
+  const std::vector<std::pair<int64_t, bool>> want = {
+      {1, true}, {2, true}, {4, false}, {3, false}};
+  EXPECT_EQ(probe_trace(res), want);
 }
 
 TEST(MaxBatch, IlpEnablesLargerBatchThanCheckpointAll) {
@@ -165,6 +179,9 @@ TEST(MaxBatch, IlpEnablesLargerBatchThanCheckpointAll) {
   auto base = max_batch_size(factory, checkpoint_all_probe, opts);
   auto ours = max_batch_size(factory, ilp_probe, opts);
   EXPECT_GT(ours.max_batch, base.max_batch);
+  const std::vector<std::pair<int64_t, bool>> want = {
+      {1, true}, {2, true}, {4, false}, {3, true}};
+  EXPECT_EQ(probe_trace(ours), want);
 }
 
 }  // namespace
