@@ -57,14 +57,16 @@ void BM_SparseLuFactorizeSolve(benchmark::State& state) {
   }
   std::vector<lp::BasisColumn> cols(m);
   for (int j = 0; j < m; ++j) cols[j] = {rows[j], vals[j]};
-  std::vector<double> rhs(m, 1.0);
+  lp::WorkVector rhs;
+  rhs.val.assign(m, 1.0);
+  rhs.index_all();
   for (auto _ : state) {
     lp::LuFactorization lu;
     bool ok = lu.factorize(m, cols);
     benchmark::DoNotOptimize(ok);
-    std::vector<double> x = rhs;
+    lp::WorkVector x = rhs;
     lu.ftran(x);
-    benchmark::DoNotOptimize(x);
+    benchmark::DoNotOptimize(x.val);
   }
 }
 BENCHMARK(BM_SparseLuFactorizeSolve)->Arg(256)->Arg(1024)->Arg(4096);
@@ -244,8 +246,7 @@ constexpr SolverConfig kConfigs[] = {
     // Retention-interval backend. "interval" reruns the small instances --
     // compare_bench.py asserts its proven costs equal "overhaul"'s exactly
     // (the dense-vs-interval cross-check). The *_big rows run the deep
-    // instances the dense backend cannot solve within the time limit;
-    // "dense_big" is kept to document that failure.
+    // instances; "dense_big" documents what the dense encoding costs there.
     {.name = "interval", .formulation = IlpFormulationKind::kInterval},
     {.name = "interval_big",
      .formulation = IlpFormulationKind::kInterval,
@@ -294,9 +295,10 @@ std::vector<JsonInstance> json_instances() {
 }
 
 // Deep instances (>= 200 stages) for the retention-interval backend. The
-// dense Problem 9 encoding carries >100k rows here and cannot finish even
-// the root relaxation within the 60s limit; the interval encoding proves
-// optimality. Only the *_big configs run these.
+// dense Problem 9 encoding carries >100k rows here and needs over four
+// times the pivots of the interval encoding on the 480-stage chain; neither
+// proves the transformer within the 60s limit. Only the *_big configs run
+// these.
 std::vector<JsonInstance> big_instances() {
   std::vector<JsonInstance> out;
   {

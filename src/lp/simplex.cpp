@@ -45,6 +45,12 @@ constexpr double kPerturbation = 1e-8;
 // (~bound * 1e-16) during pivoting.
 constexpr double kArtificialBound = 1e7;
 
+// Sorts a work vector's index list and drops repeats (after scatters).
+void sort_unique(std::vector<int>& idx) {
+  std::sort(idx.begin(), idx.end());
+  idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
+}
+
 }  // namespace
 
 const char* to_string(LpStatus status) {
@@ -543,6 +549,16 @@ void DualSimplex::axpy_work_column(int col, double alpha,
   a_.axpy_column(col, alpha, dense);
 }
 
+void DualSimplex::scatter_work_column(int col, double alpha,
+                                      WorkVector& x) const {
+  axpy_work_column(col, alpha, x.val);
+  if (is_slack(col)) {
+    x.idx.push_back(col - n_);
+  } else {
+    for (int r : a_.col_rows(col)) x.idx.push_back(r);
+  }
+}
+
 bool DualSimplex::refactorize() {
   std::vector<BasisColumn> cols(m_);
   // Slack columns are synthesized; keep their storage alive in one arena.
@@ -565,27 +581,31 @@ bool DualSimplex::refactorize() {
 
 void DualSimplex::recompute_reduced_costs() {
   // y = B^-T c_B, d_j = c_j - y . W_j
-  std::vector<double> y(m_, 0.0);
-  for (int i = 0; i < m_; ++i) y[i] = cost_[basic_var_[i]];
+  WorkVector& y = rho_;
+  y.reset(m_);
+  for (int i = 0; i < m_; ++i) y.val[i] = cost_[basic_var_[i]];
+  y.index_all();
   lu_.btran(y);
   for (int j = 0; j < num_total(); ++j) {
     if (status_[j] == kBasic) {
       d_[j] = 0.0;
     } else {
-      d_[j] = cost_[j] - dot_work_column(j, y);
+      d_[j] = cost_[j] - dot_work_column(j, y.val);
     }
   }
 }
 
 void DualSimplex::recompute_basic_values() {
   // x_B = -B^-1 W_N x_N  (rhs of W x = 0 moved to the right).
-  std::vector<double> rhs(m_, 0.0);
+  WorkVector& rhs = w_;
+  rhs.reset(m_);
   for (int j = 0; j < num_total(); ++j) {
     if (status_[j] == kBasic || x_[j] == 0.0) continue;
-    axpy_work_column(j, -x_[j], rhs);
+    axpy_work_column(j, -x_[j], rhs.val);
   }
+  rhs.index_all();
   lu_.ftran(rhs);
-  xb_ = std::move(rhs);
+  xb_ = rhs.val;
   xb_dirty_ = false;
   // Wholesale basic-value motion invalidates the pricing candidate list.
   price_dirty_ = true;
@@ -643,12 +663,12 @@ void DualSimplex::make_initial_basis() {
   dse_w_.assign(m_, 1.0);
 }
 
-void DualSimplex::compute_pivot_row(const std::vector<double>& rho) {
+void DualSimplex::compute_pivot_row(const WorkVector& rho) {
   ++alpha_stamp_;
   alpha_idx_.clear();
   const int64_t stamp = alpha_stamp_;
-  for (int i = 0; i < m_; ++i) {
-    const double r = rho[i];
+  for (int i : rho.idx) {
+    const double r = rho.val[i];
     if (r == 0.0) continue;
     // Slack column n+i is -e_i, so its alpha is just -rho_i.
     const int sj = n_ + i;
@@ -705,9 +725,10 @@ bool DualSimplex::tableau_row(int pos, std::vector<int>& cols,
   // gives the identity x_B[pos] + sum_j coef_j * x_j = 0 over nonbasic j.
   // Engine columns are scaled; multiplying by q_B / q_j returns each
   // coefficient to the caller's frame (exact -- powers of two).
-  std::vector<double>& rho = rho_scratch_;
-  rho.assign(m_, 0.0);
-  rho[pos] = 1.0;
+  WorkVector& rho = rho_;
+  rho.reset(m_);
+  rho.val[pos] = 1.0;
+  rho.idx.push_back(pos);
   lu_.btran(rho);
   compute_pivot_row(rho);
   const double qb = scale_[basic_var_[pos]];
@@ -844,9 +865,10 @@ int DualSimplex::iterate() {
 
   // ---- Pivot row rho = B^-T e_r; alpha = W' rho over rho's nonzeros only
   // (hypersparse pricing through the CSR mirror).
-  std::vector<double>& rho = rho_scratch_;
-  rho.assign(m_, 0.0);
-  rho[leave_pos] = 1.0;
+  WorkVector& rho = rho_;
+  rho.reset(m_);
+  rho.val[leave_pos] = 1.0;
+  rho.idx.push_back(leave_pos);
   lu_.btran(rho);
   compute_pivot_row(rho);
 
@@ -949,12 +971,13 @@ int DualSimplex::iterate() {
   // the U back-substitution) is stashed inside the factorization as the
   // spike for the Forrest-Tomlin update(); the two-phase form is exactly
   // lu_.ftran().
-  std::vector<double>& w = w_scratch_;
-  w.assign(m_, 0.0);
-  axpy_work_column(enter_col, 1.0, w);
+  WorkVector& w = w_;
+  w.reset(m_);
+  scatter_work_column(enter_col, 1.0, w);
+  sort_unique(w.idx);
   lu_.ftran_spike(w);
   lu_.ftran_finish(w);
-  const double wr = w[leave_pos];
+  const double wr = w.val[leave_pos];
   if (std::abs(wr) < kPivotTol) {
     // The FTRAN'd pivot element disagrees with the BTRAN'd one badly;
     // refactorize and let the caller retry. (No flip has been applied yet,
@@ -982,25 +1005,26 @@ int DualSimplex::iterate() {
   // ---- Apply the bound flips: toggle each column to its opposite bound
   // and repair the basics with one aggregated FTRAN for the whole batch.
   if (!flips.empty()) {
-    std::vector<double>& fl = flip_scratch_;
-    fl.assign(m_, 0.0);
+    WorkVector& fl = flip_;
+    fl.reset(m_);
     for (int j : flips) {
       const double step = status_[j] == kNonbasicLower ? hi_[j] - lo_[j]
                                                        : lo_[j] - hi_[j];
       z_est_ += d_[j] * step;  // dual objective gained by the flip
-      axpy_work_column(j, step, fl);
+      scatter_work_column(j, step, fl);
       status_[j] =
           status_[j] == kNonbasicLower ? kNonbasicUpper : kNonbasicLower;
       x_[j] = bound_for_status(j, status_[j]);
     }
+    sort_unique(fl.idx);
     lu_.ftran(fl);
-    for (int i = 0; i < m_; ++i) xb_[i] -= fl[i];
+    for (int i : fl.idx) xb_[i] -= fl.val[i];
   }
   const double delta = xb_[leave_pos] - target;
 
   // ---- Primal step.
   const double t = delta / wr;
-  for (int i = 0; i < m_; ++i) xb_[i] -= t * w[i];
+  for (int i : w.idx) xb_[i] -= t * w.val[i];
   const double enter_val =
       (status_[enter_col] == kFree ? x_[enter_col]
                                    : bound_for_status(enter_col, status_[enter_col])) +
@@ -1030,14 +1054,17 @@ int DualSimplex::iterate() {
   // exact leaving-row norm): beta_r is recomputed from the BTRAN'd rho
   // (cheap -- rho is in hand), tau = B^-1 rho costs one extra FTRAN.
   double beta_r = 0.0;
-  for (int i = 0; i < m_; ++i) beta_r += rho[i] * rho[i];
-  std::vector<double>& tau = flip_scratch_;
-  tau = rho;
+  for (int i : rho.idx) beta_r += rho.val[i] * rho.val[i];
+  WorkVector& tau = flip_;  // the flip batch is done with it
+  tau.reset(m_);
+  for (int i : rho.idx) tau.val[i] = rho.val[i];
+  tau.idx = rho.idx;
   lu_.ftran(tau);
-  for (int i = 0; i < m_; ++i) {
-    if (i == leave_pos || w[i] == 0.0) continue;
-    const double eta = w[i] / wr;
-    const double cand_w = dse_w_[i] - 2.0 * eta * tau[i] + eta * eta * beta_r;
+  for (int i : w.idx) {
+    if (i == leave_pos || w.val[i] == 0.0) continue;
+    const double eta = w.val[i] / wr;
+    const double cand_w =
+        dse_w_[i] - 2.0 * eta * tau.val[i] + eta * eta * beta_r;
     dse_w_[i] = std::max(cand_w, 1e-10);
   }
   dse_w_[leave_pos] = std::max(beta_r / (wr * wr), 1e-10);

@@ -26,7 +26,11 @@
 //     boxed [0,1];
 //   - hypersparse pricing: alpha = W' rho accumulated over the nonzeros of
 //     the BTRAN'd rho via the SparseMatrix row mirror, into a stamped
-//     sparse scratch (no per-pivot dense pass over all columns).
+//     sparse scratch (no per-pivot dense pass over all columns);
+//   - hypersparse FTRAN/BTRAN: rho, the entering column, the flip column
+//     and the steepest-edge tau ride in sparse work vectors (lp/lu.h), so
+//     the solves, the pricing pass, the basic-value updates and the
+//     steepest-edge weight loop all walk index lists, not all m rows.
 //
 // Basis representation: sparse LU (Gilbert-Peierls) with Forrest-Tomlin
 // updates: each pivot folds into the factors as one row eta plus a column
@@ -242,6 +246,9 @@ class DualSimplex {
   // dense += alpha * W[:, col].
   void axpy_work_column(int col, double alpha,
                         std::vector<double>& dense) const;
+  // The same on a work vector, appending the touched rows to x.idx
+  // (unsorted and possibly repeated until the caller sorts them).
+  void scatter_work_column(int col, double alpha, WorkVector& x) const;
 
   bool refactorize();            // rebuild LU from current basis
   void recompute_reduced_costs();
@@ -262,7 +269,7 @@ class DualSimplex {
   // Hypersparse pivot-row computation: alpha = W' rho accumulated over the
   // nonzeros of rho only (CSR rows of A + the slack diagonal), written into
   // the stamped scratch alpha_v_ / alpha_idx_.
-  void compute_pivot_row(const std::vector<double>& rho);
+  void compute_pivot_row(const WorkVector& rho);
 
   // Dual objective of the current (dual-feasible) basis corrected for the
   // cost perturbation: a sound lower bound on the true LP optimum, used to
@@ -342,10 +349,11 @@ class DualSimplex {
   std::vector<double> dse_w_;
 
   // Per-iteration scratch (avoids ~100KB of allocation per pivot). The
-  // pivot row alpha lives in a stamped sparse scratch: alpha_v_ holds
-  // values, alpha_idx_ the touched columns, and alpha_mark_[j] == stamp
-  // marks validity -- no O(n+m) memset per pivot.
-  std::vector<double> rho_scratch_, w_scratch_, flip_scratch_;
+  // solve vectors are sparse work vectors, cleared in O(nnz); the pivot
+  // row alpha lives in a stamped sparse scratch: alpha_v_ holds values,
+  // alpha_idx_ the touched columns, and alpha_mark_[j] == stamp marks
+  // validity -- no O(n+m) memset per pivot.
+  WorkVector rho_, w_, flip_;
   std::vector<double> alpha_v_;
   std::vector<int> alpha_idx_;
   std::vector<int64_t> alpha_mark_;

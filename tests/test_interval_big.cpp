@@ -1,7 +1,7 @@
 // Deep-instance (>= 200 stage) scale contract for the retention-interval
 // backend -- the reason the backend exists. Nightly tier (labeled `slow` in
-// CMakeLists.txt): the dense half of the contract deliberately burns its
-// whole (short) time limit demonstrating failure.
+// CMakeLists.txt): the dense half of the chain contract and the 20k-pivot
+// transformer search take over a minute together.
 #include <gtest/gtest.h>
 
 #include "baselines/baselines.h"
@@ -13,12 +13,13 @@
 namespace checkmate {
 namespace {
 
-TEST(IntervalBig, ProvesDeepChainDenseCannotTouch) {
-  // 480-stage chain at a tight budget. The dense Problem 9 encoding
-  // carries O(n^2) per-step U columns plus the FREE machinery and cannot
-  // finish even its root relaxation inside the 60s bench window (bound
-  // stays -inf); the interval backend proves optimality outright in a few
-  // seconds.
+TEST(IntervalBig, ProvesDeepChainInAFractionOfDensePivots) {
+  // 480-stage chain at a tight budget. The interval backend proves
+  // optimality at the root in 2n pivots. The dense Problem 9 encoding
+  // carries O(n^2) per-step U columns plus the FREE machinery, and its root
+  // relaxation alone takes more than four times as many pivots. Pivot
+  // counts are machine-independent, unlike the wall time this contract was
+  // once stated in.
   auto p = RematProblem::unit_chain(480);
   Scheduler sched(p);
 
@@ -32,15 +33,17 @@ TEST(IntervalBig, ProvesDeepChainDenseCannotTouch) {
   EXPECT_TRUE(ri.feasible) << ri.message;
   EXPECT_TRUE(ri.solution.check_feasible(p).empty());
   EXPECT_LE(ri.sim.peak_memory, 6.0 + 1e-9);
+  EXPECT_EQ(ri.nodes, 1);
+  EXPECT_EQ(ri.lp_iterations, 2 * 480);
 
   IlpSolveOptions dense;
   dense.relative_gap = 5e-4;
-  dense.time_limit_sec = 10.0;  // generous for proving it gets nowhere
+  dense.time_limit_sec = 60.0;
   dense.num_threads = 1;
   auto rd = sched.solve_optimal_ilp(6.0, dense);
-  EXPECT_NE(rd.milp_status, milp::MilpStatus::kOptimal)
-      << "dense backend unexpectedly solved n=480 -- promote the bench "
-         "instance and revisit the interval backend's reason to exist";
+  EXPECT_GT(rd.lp_iterations, 4 * ri.lp_iterations)
+      << "dense backend caught up with the interval backend on n=480 -- "
+         "revisit the interval backend's reason to exist";
 }
 
 TEST(IntervalBig, DeepTransformerBoundsAreSane) {

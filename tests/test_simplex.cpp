@@ -5,7 +5,9 @@
 #include <cmath>
 #include <random>
 
+#include "core/scheduler.h"
 #include "dense_simplex.h"
+#include "milp/milp.h"
 
 namespace checkmate::lp {
 namespace {
@@ -714,6 +716,38 @@ TEST(DualSimplex, ScalingSolvesBadlyRangedLp) {
   // is why scaling exists) but must never beat the true optimum.
   EXPECT_GE(rb.objective, dense.objective - 1e-6 * rel);
   EXPECT_LE(lp.max_violation(ra.x), 1e-6);
+}
+
+
+TEST(DualSimplex, UnitChainRootTrajectoryIsPinned) {
+  // Fast-tier pin of the deep-chain hot path (the regime of the nightly
+  // IntervalBig suite and the deep_interval benchmark), end to end through
+  // the interval backend: at budget 6 the chain proves at the root in
+  // exactly 2n pivots. The refactorization and Forrest-Tomlin update counts
+  // pin the LP trajectory itself, so a change to the LU solves or the pivot
+  // loop that moves any pivot shows here (and runs under the sanitizer
+  // stages with this suite).
+  struct Pin {
+    int n;
+    int64_t refactorizations, ft_updates;
+  };
+  for (const Pin& pin : {Pin{60, 2, 118}, Pin{120, 3, 238}}) {
+    SCOPED_TRACE(pin.n);
+    auto p = RematProblem::unit_chain(pin.n);
+    Scheduler sched(p);
+    IlpSolveOptions o;
+    o.formulation = IlpFormulationKind::kInterval;
+    o.relative_gap = 5e-4;
+    o.time_limit_sec = 60.0;
+    o.num_threads = 1;
+    auto r = sched.solve_optimal_ilp(6.0, o);
+    ASSERT_EQ(r.milp_status, milp::MilpStatus::kOptimal);
+    EXPECT_EQ(r.nodes, 1);
+    EXPECT_EQ(r.lp_iterations, 2 * pin.n);
+    EXPECT_EQ(r.cost, pin.n);
+    EXPECT_EQ(r.lp_refactorizations, pin.refactorizations);
+    EXPECT_EQ(r.lp_ft_updates, pin.ft_updates);
+  }
 }
 
 }  // namespace
