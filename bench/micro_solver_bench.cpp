@@ -359,28 +359,14 @@ int run_json_suite(const std::string& path) {
           std::snprintf(bound_buf, sizeof bound_buf, "null");
         std::fprintf(f,
                      "    {\"instance\": \"%s\", \"config\": \"%s\", "
-                     "\"threads\": %d, "
-                     "\"status\": \"%s\", \"nodes\": %lld, "
-                     "\"lp_iterations\": %lld, \"cuts\": %lld, "
-                     "\"strong_branches\": %lld, "
-                     "\"gomory_cuts\": %lld, \"cuts_removed\": %lld, "
-                     "\"lp_refactorizations\": %lld, "
-                     "\"lp_ft_updates\": %lld, "
-                     "\"lp_ft_growth_refactors\": %lld, "
-                     "\"lp_pricing_resets\": %lld, \"seconds\": %.3f, "
-                     "\"cost\": %.6g, \"best_bound\": %s}",
+                     "\"threads\": %d, \"status\": \"%s\", ",
                      inst.name.c_str(), cfg.name, cfg.num_threads,
-                     milp::to_string(res.milp_status),
-                     static_cast<long long>(res.nodes),
-                     static_cast<long long>(res.lp_iterations),
-                     static_cast<long long>(res.cuts_added),
-                     static_cast<long long>(res.strong_branches),
-                     static_cast<long long>(res.gomory_cuts),
-                     static_cast<long long>(res.cuts_removed),
-                     static_cast<long long>(res.lp_refactorizations),
-                     static_cast<long long>(res.lp_ft_updates),
-                     static_cast<long long>(res.lp_ft_growth_refactors),
-                     static_cast<long long>(res.lp_pricing_resets),
+                     milp::to_string(res.milp_status));
+        for (const auto& [name, field] : lp::kSolveCounters)
+          std::fprintf(f, "\"%s\": %lld, ", name,
+                       static_cast<long long>(res.*field));
+        std::fprintf(f, "\"seconds\": %.3f, \"cost\": %.6g, "
+                     "\"best_bound\": %s}",
                      res.seconds, res.cost, bound_buf);
         std::fflush(f);
         std::fprintf(stderr, "%-24s %-14s %-9s nodes=%-7lld %.2fs\n",

@@ -13,9 +13,11 @@ Handles both committed formats:
                      ratio-test regression even when node counts hold);
                      additionally enforces the parallel-determinism
                      contract: the threads2/threads4 configs must report
-                     node counts identical to the single-threaded shipped
-                     config ("overhaul") on every instance of the fresh
-                     run; and the backend cross-check: wherever the dense
+                     every integer counter of the row (nodes, pivots,
+                     cuts, probes, fixings, LP-engine counters) identical
+                     to the single-threaded shipped config ("overhaul") on
+                     every instance of the fresh run; and the backend
+                     cross-check: wherever the dense
                      ("overhaul") and retention-interval ("interval")
                      configs both prove optimality on an instance, their
                      objectives must agree to within the proof gap;
@@ -73,6 +75,10 @@ import sys
 # protocol).
 DETERMINISM_CONFIGS = ("overhaul", "threads2", "threads4")
 
+# Integer-valued row keys that are not search counters: the worker count
+# itself, and a cost that happens to print without a fraction.
+NON_COUNTER_KEYS = ("threads", "cost", "best_bound")
+
 # Ablation configs the solver bench must keep reporting: each one flips a
 # shipped subsystem off, and the committed baseline is the record of what
 # that subsystem buys. A fresh run missing one of these rows fails the gate.
@@ -84,6 +90,18 @@ def solver_records(doc):
     return {
         (r["instance"], r["config"]):
             (r["nodes"], r.get("seconds"), r.get("lp_iterations"))
+        for r in doc["results"]
+    }
+
+
+def solver_counters(doc):
+    """Every integer counter of each row, keyed by (instance, config)."""
+    return {
+        (r["instance"], r["config"]): {
+            k: v for k, v in r.items()
+            if isinstance(v, int) and not isinstance(v, bool)
+            and k not in NON_COUNTER_KEYS
+        }
         for r in doc["results"]
     }
 
@@ -228,9 +246,10 @@ def main():
         # (warn instead of failing).
         statuses = solver_statuses(fresh_doc)
         by_instance = {}
-        for (instance, config), (nodes, _, _) in fresh.items():
+        for (instance, config), counters in solver_counters(
+                fresh_doc).items():
             if config in DETERMINISM_CONFIGS:
-                by_instance.setdefault(instance, {})[config] = nodes
+                by_instance.setdefault(instance, {})[config] = counters
         for instance, configs in sorted(by_instance.items()):
             truncated = [c for c in configs
                          if statuses.get((instance, c)) != "optimal"]
@@ -239,11 +258,15 @@ def main():
                     f"{instance}: determinism check skipped "
                     f"(non-optimal: {', '.join(sorted(truncated))})")
                 continue
-            counts = sorted(set(configs.values()))
-            if len(counts) > 1:
-                failures.append(
-                    f"{instance}: worker-count determinism violated: "
-                    + ", ".join(f"{c}={n}" for c, n in sorted(configs.items())))
+            keys = sorted(set().union(*configs.values()))
+            for key in keys:
+                values = {c: counters.get(key)
+                          for c, counters in sorted(configs.items())}
+                if len(set(values.values())) > 1:
+                    failures.append(
+                        f"{instance}: worker-count determinism violated on "
+                        f"{key}: " + ", ".join(f"{c}={n}"
+                                               for c, n in values.items()))
 
         # Dense-vs-interval cross-check: both backends solve the same
         # rematerialization instance, so wherever both prove optimality

@@ -14,8 +14,11 @@ IlpFormulation::IlpFormulation(const RematProblem& problem,
                                const IlpBuildOptions& options)
     : problem_(&problem), opts_(options) {
   problem.validate();
-  if (opts_.budget_bytes <= 0.0)
-    throw std::invalid_argument("IlpFormulation: budget must be positive");
+  // The memory scale is budget / 100: a non-finite budget would zero or
+  // poison every memory coefficient.
+  if (!(opts_.budget_bytes > 0.0) || !std::isfinite(opts_.budget_bytes))
+    throw std::invalid_argument(
+        "IlpFormulation: budget must be positive and finite");
   if (opts_.formulation == IlpFormulationKind::kInterval)
     build_interval();
   else
@@ -189,8 +192,9 @@ void IlpFormulation::build() {
 }
 
 void IlpFormulation::set_budget(double budget_bytes) {
-  if (budget_bytes <= 0.0)
-    throw std::invalid_argument("set_budget: budget must be positive");
+  if (!(budget_bytes > 0.0) || !std::isfinite(budget_bytes))
+    throw std::invalid_argument(
+        "set_budget: budget must be positive and finite");
   opts_.budget_bytes = budget_bytes;
   const double scaled = budget_bytes / mem_scale_;
   for (int var : u_flat_) lp_.ub[var] = scaled;

@@ -78,7 +78,9 @@ class IlpFormulation {
   // scaled by a factor frozen at construction time), so a sweep over
   // budgets can reuse one built formulation: only num-U variable bounds
   // change, every constraint row stays identical. This is what makes the
-  // plan service's formulation cache sound (src/service/).
+  // plan service's formulation cache sound (src/service/). Like the
+  // constructor, throws std::invalid_argument unless the budget is
+  // positive and finite.
   void set_budget(double budget_bytes);
 
   // Budget in the LP's scaled memory units (the U upper bound).

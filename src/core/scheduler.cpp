@@ -1,6 +1,8 @@
 #include "core/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "baselines/baselines.h"
 
@@ -131,16 +133,7 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
     res = evaluate_schedule_against(problem, form.extract_solution(mres.x),
                                     budget_bytes);
   res.milp_status = mres.status;
-  res.nodes = mres.nodes;
-  res.lp_iterations = mres.lp_iterations;
-  res.cuts_added = mres.cuts_added;
-  res.strong_branches = mres.strong_branches;
-  res.gomory_cuts = mres.gomory_cuts;
-  res.cuts_removed = mres.cuts_removed;
-  res.lp_refactorizations = mres.lp_refactorizations;
-  res.lp_ft_updates = mres.lp_ft_updates;
-  res.lp_ft_growth_refactors = mres.lp_ft_growth_refactors;
-  res.lp_pricing_resets = mres.lp_pricing_resets;
+  static_cast<lp::SolveStats&>(res) = mres;
   res.seconds = mres.seconds;
   res.best_bound = form.unscale_cost(mres.best_bound);
   res.root_relaxation = form.unscale_cost(mres.root_relaxation);
@@ -168,6 +161,8 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
 
 ScheduleResult Scheduler::solve_optimal_ilp(
     double budget_bytes, const IlpSolveOptions& options) const {
+  if (!std::isfinite(budget_bytes))
+    throw std::invalid_argument("solve_optimal_ilp: budget must be finite");
   if (budget_bytes < problem_.memory_floor()) {
     // No schedule can fit: some operation's working set alone exceeds the
     // budget. Saves branch & bound from grinding on a hopeless proof, and

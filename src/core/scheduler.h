@@ -1,6 +1,8 @@
 // Top-level Checkmate API (Figure 2): given a rematerialization problem and
 // a memory budget, produce an optimal (MILP) or near-optimal (two-phase LP
 // rounding) execution plan, validated end-to-end by the plan simulator.
+// A ScheduleResult is an lp::SolveStats: the MILP's work counters ride on
+// it unchanged, and the bench JSON walks lp::kSolveCounters to print them.
 #pragma once
 
 #include <optional>
@@ -77,7 +79,8 @@ struct ApproxOptions {
   uint64_t seed = 1;
 };
 
-struct ScheduleResult {
+// The counters are the MILP's lp::SolveStats, all zero when no MILP ran.
+struct ScheduleResult : lp::SolveStats {
   bool feasible = false;
   std::string message;
 
@@ -92,20 +95,6 @@ struct ScheduleResult {
   milp::MilpStatus milp_status = milp::MilpStatus::kError;
   double best_bound = 0.0;       // problem cost units
   double root_relaxation = 0.0;  // problem cost units
-  int64_t nodes = 0;
-  int64_t lp_iterations = 0;     // cumulative simplex iterations
-  int64_t cuts_added = 0;        // cut rows appended by branch & cut
-  int64_t strong_branches = 0;   // reliability-branching probe solves
-  // LP-engine observability (milp::MilpResult pass-through): Gomory cut
-  // rows of cuts_added, cut rows later deleted by in-LP aging, and the
-  // engine-level refactorization/update/pricing counters summed over
-  // every LP solve of the search.
-  int64_t gomory_cuts = 0;
-  int64_t cuts_removed = 0;
-  int64_t lp_refactorizations = 0;
-  int64_t lp_ft_updates = 0;
-  int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_pricing_resets = 0;
   double seconds = 0.0;
 
   // Typed infeasibility: true only when NO schedule can fit the budget,
@@ -156,7 +145,8 @@ class Scheduler {
   // ideal; denominator of the overhead metric in Figure 5).
   double ideal_cost() const { return problem_.total_cost_all_nodes(); }
 
-  // Section 4: optimal rematerialization via the MILP.
+  // Section 4: optimal rematerialization via the MILP. A NaN or infinite
+  // budget throws std::invalid_argument.
   ScheduleResult solve_optimal_ilp(double budget_bytes,
                                    const IlpSolveOptions& options = {}) const;
 

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <stdexcept>
 
 #include "robust/fault_injection.h"
@@ -573,7 +574,7 @@ bool DualSimplex::refactorize() {
       cols[i] = {a_.col_rows(col), a_.col_values(col)};
     }
   }
-  ++stats_.refactorizations;
+  ++stats_.lp_refactorizations;
   const bool ok = lu_.factorize(m_, cols);
   nnz_base_ = lu_.nnz();
   return ok;
@@ -763,7 +764,7 @@ void DualSimplex::rebuild_price_list() {
   for (const auto& [neg_score, i] : scored) price_cand_.push_back(i);
   price_countdown_ = 64;
   price_dirty_ = false;
-  ++stats_.pricing_resets;
+  ++stats_.lp_pricing_resets;
 }
 
 int DualSimplex::select_leave_row(bool bland) {
@@ -1080,20 +1081,20 @@ int DualSimplex::iterate() {
   // update in place when stable, else fall back to a full refactorize.
   bool force_refactor = false;
   if (lu_.update(leave_pos)) {
-    ++stats_.ft_updates;
+    ++stats_.lp_ft_updates;
     // Refresh triggers: update-count cap, or fill growth past
     // kFtGrowthLimit x the fresh factorization's nnz (the +16m floor keeps
     // tiny bases from thrashing on the ratio alone).
     if (lu_.updates() >= kFtUpdateLimit ||
         lu_.nnz() > static_cast<int64_t>(kFtGrowthLimit * nnz_base_) +
                         16 * static_cast<int64_t>(m_)) {
-      if (lu_.updates() < kFtUpdateLimit) ++stats_.ft_growth_refactors;
+      if (lu_.updates() < kFtUpdateLimit) ++stats_.lp_ft_growth_refactors;
       force_refactor = true;
     }
   } else {
     // Update rejected for stability (spike growth / tiny new diagonal):
     // the factorization still describes the OLD basis, so rebuild now.
-    ++stats_.ft_growth_refactors;
+    ++stats_.lp_ft_growth_refactors;
     force_refactor = true;
   }
   if (force_refactor) {
@@ -1286,6 +1287,15 @@ LpResult DualSimplex::solve() {
 LpResult solve_lp(const LinearProgram& lp, SimplexOptions options) {
   DualSimplex solver(lp, options);
   return solver.solve();
+}
+
+std::ostream& operator<<(std::ostream& os, const SolveStats& stats) {
+  const char* sep = "";
+  for (const auto& [name, field] : kSolveCounters) {
+    os << sep << name << '=' << stats.*field;
+    sep = " ";
+  }
+  return os;
 }
 
 }  // namespace checkmate::lp

@@ -39,7 +39,9 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "lp/lp_problem.h"
@@ -72,16 +74,61 @@ struct SimplexOptions {
   robust::CancelToken cancel;
 };
 
-// Cumulative LP-engine observability counters (per DualSimplex instance;
-// branch & bound diffs them around each node batch to attribute work).
-struct LpEngineStats {
-  int64_t refactorizations = 0;  // full LU rebuilds
-  int64_t ft_updates = 0;        // Forrest-Tomlin updates absorbed
+// The deterministic work counters of one solve, declared once. DualSimplex
+// increments only the lp_* engine counters; branch & bound adds the search
+// counters and sums engine deltas (operator-) into its result.
+// milp::MilpResult and ScheduleResult inherit the struct, and the bench
+// JSON is written from kSolveCounters. Every counter is bit-identical for
+// any num_threads: each slot's engine trajectory is snapshot-pure.
+struct SolveStats {
+  int64_t nodes = 0;
+  int64_t lp_iterations = 0;    // cumulative simplex iterations
+  int64_t cuts_added = 0;       // cut rows appended (root rounds + barriers)
+  int64_t strong_branches = 0;  // reliability-branching probe solves
+  int64_t gomory_cuts = 0;      // of cuts_added: from the Gomory separator
+  int64_t cuts_removed = 0;     // cut rows later deleted by in-LP aging
+  int64_t root_fixings = 0;     // variables fixed by root reduced-cost fixing
+  int64_t lp_refactorizations = 0;  // full LU rebuilds
+  int64_t lp_ft_updates = 0;        // Forrest-Tomlin updates absorbed
   // Refactorizations forced by FT fill growth or an unstable update (a
-  // subset of refactorizations; the rest are cadence/anti-stall/restore).
-  int64_t ft_growth_refactors = 0;
-  int64_t pricing_resets = 0;  // partial-pricing candidate-list rebuilds
+  // subset of lp_refactorizations; the rest are cadence/anti-stall/restore).
+  int64_t lp_ft_growth_refactors = 0;
+  int64_t lp_pricing_resets = 0;  // partial-pricing candidate-list rebuilds
+
+  SolveStats& operator+=(const SolveStats& other);
+  bool operator==(const SolveStats&) const = default;
 };
+
+// Every SolveStats counter with its bench-JSON key, in row order.
+inline constexpr std::pair<const char*, int64_t SolveStats::*>
+    kSolveCounters[] = {
+        {"nodes", &SolveStats::nodes},
+        {"lp_iterations", &SolveStats::lp_iterations},
+        {"cuts", &SolveStats::cuts_added},
+        {"strong_branches", &SolveStats::strong_branches},
+        {"gomory_cuts", &SolveStats::gomory_cuts},
+        {"cuts_removed", &SolveStats::cuts_removed},
+        {"root_fixings", &SolveStats::root_fixings},
+        {"lp_refactorizations", &SolveStats::lp_refactorizations},
+        {"lp_ft_updates", &SolveStats::lp_ft_updates},
+        {"lp_ft_growth_refactors", &SolveStats::lp_ft_growth_refactors},
+        {"lp_pricing_resets", &SolveStats::lp_pricing_resets},
+};
+
+inline SolveStats& SolveStats::operator+=(const SolveStats& other) {
+  for (const auto& [name, field] : kSolveCounters)
+    this->*field += other.*field;
+  return *this;
+}
+
+// The growth of a cumulative counter set since `base`.
+inline SolveStats operator-(SolveStats now, const SolveStats& base) {
+  for (const auto& [name, field] : kSolveCounters) now.*field -= base.*field;
+  return now;
+}
+
+// "name=value" over kSolveCounters (the gtest printer of the tests).
+std::ostream& operator<<(std::ostream& os, const SolveStats& stats);
 
 // Engine-independent capture of the warm-start-relevant simplex state:
 // basis status, the basic-position assignment, bound overrides relative to
@@ -203,7 +250,7 @@ class DualSimplex {
   int64_t iterations_total() const { return total_iterations_; }
 
   // Cumulative engine counters over every solve on this instance.
-  const LpEngineStats& stats() const { return stats_; }
+  const SolveStats& stats() const { return stats_; }
 
   // Reduced costs of the structural columns at the current basis (valid
   // after an optimal solve(); computed against the perturbed costs, so
@@ -318,7 +365,7 @@ class DualSimplex {
   bool d_dirty_ = false;
   bool used_artificial_bound_ = false;
   int64_t nnz_base_ = 0;  // factor nnz right after the last refactorize
-  LpEngineStats stats_;
+  SolveStats stats_;
   // Partial-pricing candidate list (basis positions, worst-first) and its
   // refresh bookkeeping; dirtied by anything that moves many basics at
   // once (restore, refactorize-with-recompute, row sync).

@@ -134,35 +134,14 @@ struct PcObservation {
   double unit;
 };
 
-// Engine counter attribution: the per-slot (or per-root-round) growth of a
-// DualSimplex's cumulative LpEngineStats.
-lp::LpEngineStats stats_since(const lp::LpEngineStats& now,
-                              const lp::LpEngineStats& base) {
-  lp::LpEngineStats d;
-  d.refactorizations = now.refactorizations - base.refactorizations;
-  d.ft_updates = now.ft_updates - base.ft_updates;
-  d.ft_growth_refactors = now.ft_growth_refactors - base.ft_growth_refactors;
-  d.pricing_resets = now.pricing_resets - base.pricing_resets;
-  return d;
-}
-
-void add_stats(MilpResult& r, const lp::LpEngineStats& d) {
-  r.lp_refactorizations += d.refactorizations;
-  r.lp_ft_updates += d.ft_updates;
-  r.lp_ft_growth_refactors += d.ft_growth_refactors;
-  r.lp_pricing_resets += d.pricing_resets;
-}
-
 struct IncumbentCandidate {
   double objective;
   std::vector<double> x;
 };
 
-// Everything a slot produced, committed in slot order at the barrier.
-struct SlotResult {
-  int64_t nodes = 0;
-  int64_t lp_iterations = 0;
-  int64_t strong_branches = 0;
+// Everything a slot produced, committed in slot order at the barrier. The
+// counters include the engine's growth over the slot's solves.
+struct SlotResult : lp::SolveStats {
   std::vector<PathEntry> entries;  // local arena entries (refs >= shared base)
   std::vector<OpenNode> children;  // for the open queue (paths may be local)
   std::vector<PcObservation> pc_obs;
@@ -171,9 +150,6 @@ struct SlotResult {
   // separation). Globally valid by construction; the coordinator offers
   // them to the pool in slot order at the barrier.
   std::vector<Cut> cuts;
-  // LP-engine counter growth over this slot's solves (node LPs + probes);
-  // deterministic because the slot's engine trajectory is snapshot-pure.
-  lp::LpEngineStats lp_stats;
   std::vector<double> heur_x;  // first fractional LP solution of the slot
   double heur_obj = lp::kInf;
   bool solved_root = false;
@@ -480,10 +456,7 @@ class EpochSearch {
       for (IncumbentCandidate& inc : r.incumbents)
         try_incumbent(inc.x, inc.objective);
       for (Cut& c : r.cuts) cut_pool_.offer(std::move(c));
-      result_.nodes += r.nodes;
-      result_.lp_iterations += r.lp_iterations;
-      result_.strong_branches += r.strong_branches;
-      add_stats(result_, r.lp_stats);
+      result_ += r;
       if (r.solved_root) {
         root_done_ = true;
         if (r.root_lp_ok) {
@@ -638,7 +611,7 @@ class EpochSearch {
       if (!w.engine)
         w.engine = std::make_unique<lp::DualSimplex>(lp_, opt_.simplex);
       lp::DualSimplex& eng = *w.engine;
-      const lp::LpEngineStats stats0 = eng.stats();
+      const lp::SolveStats stats0 = eng.stats();
       // The Gomory separator reads the engine's tableau, so the engine
       // must sit at the root optimum: land it there from the root snapshot
       // (the snapshot IS the optimal basis -- this costs ~0 pivots).
@@ -698,7 +671,7 @@ class EpochSearch {
         root_redcost_ = eng.structural_reduced_costs();
         root_snap_ = std::make_shared<const lp::BasisSnapshot>(eng.snapshot());
       }
-      add_stats(result_, stats_since(eng.stats(), stats0));
+      result_ += eng.stats() - stats0;
     } catch (const std::exception&) {
       // Recovery ladder: a cut round that dies (e.g. an injected cut-row
       // append failure) abandons further rounds and keeps the previous
@@ -924,7 +897,7 @@ class EpochSearch {
       w.engine = std::make_unique<lp::DualSimplex>(lp_, opt_.simplex);
     lp::DualSimplex& eng = *w.engine;
     SlotResult out;
-    const lp::LpEngineStats eng_stats0 = eng.stats();
+    const lp::SolveStats eng_stats0 = eng.stats();
     // Under branch & cut the root is solved alone (no dive): the root
     // separation rounds need the pristine root basis and point, and the
     // children they reopen inherit the cut-strengthened bound.
@@ -953,7 +926,7 @@ class EpochSearch {
       const double ilo = std::max(eng.var_lower(f.var), f.lo);
       const double ihi = std::min(eng.var_upper(f.var), f.hi);
       if (ilo > ihi) {
-        out.lp_stats = stats_since(eng.stats(), eng_stats0);
+        out += eng.stats() - eng_stats0;
         return out;
       }
       if (ilo != eng.var_lower(f.var) || ihi != eng.var_upper(f.var))
@@ -1200,7 +1173,7 @@ class EpochSearch {
       eng.set_var_bounds(c.var, c.lo, c.hi);
       cur = Cursor{child_path, rel.objective, bv, *dive_dir, f, nullptr};
     }
-    out.lp_stats = stats_since(eng.stats(), eng_stats0);
+    out += eng.stats() - eng_stats0;
     return out;
   }
 

@@ -28,6 +28,9 @@
 //     cadence that backs off while the heuristic fails to improve;
 //   - a warm-start incumbent (Checkmate feeds its baseline schedules)
 //     enables bound pruning from the very first node.
+// MilpResult inherits lp::SolveStats, the one declaration of the search's
+// work counters (lp/simplex.h): the engine fills the lp_* counters and the
+// search sums per-slot engine deltas into the result at epoch barriers.
 #pragma once
 
 #include <cstdint>
@@ -155,35 +158,13 @@ enum class MilpStatus {
 
 const char* to_string(MilpStatus status);
 
-struct MilpResult {
+// The counters sum every node/probe/root-round solve of the search.
+struct MilpResult : lp::SolveStats {
   MilpStatus status = MilpStatus::kError;
   double objective = lp::kInf;     // incumbent objective
   double best_bound = -lp::kInf;   // global lower bound at termination
   double root_relaxation = lp::kInf;
   std::vector<double> x;           // incumbent (empty if none)
-  int64_t nodes = 0;
-  int64_t lp_iterations = 0;
-  // Variables permanently fixed by root reduced-cost fixing during the
-  // search (0 when the option is off or no fixing fired).
-  int64_t root_fixings = 0;
-  // Cut rows appended to the working LP (root rounds + barrier commits)
-  // and strong-branch probe solves performed. Both are part of the
-  // deterministic search semantics: bit-identical for any num_threads.
-  int64_t cuts_added = 0;
-  int64_t strong_branches = 0;
-  // Of cuts_added: rows from the Gomory separator, and cut rows later
-  // deleted from the working LP by in-LP aging. Deterministic like
-  // cuts_added.
-  int64_t gomory_cuts = 0;
-  int64_t cuts_removed = 0;
-  // LP-engine observability (lp/simplex.h LpEngineStats), summed over
-  // every node/probe/root-round solve of the search. Deterministic for any
-  // num_threads: each slot's engine trajectory is a pure function of its
-  // (snapshot, working LP) inputs.
-  int64_t lp_refactorizations = 0;
-  int64_t lp_ft_updates = 0;
-  int64_t lp_ft_growth_refactors = 0;
-  int64_t lp_pricing_resets = 0;
   double seconds = 0.0;
   PresolveStats presolve;          // zeroed when presolve was disabled
 

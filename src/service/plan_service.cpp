@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 
 #include "baselines/baselines.h"
@@ -15,6 +15,14 @@
 namespace checkmate::service {
 
 namespace {
+
+// A NaN or infinite budget would zero (or poison) every memory coefficient
+// of the formulation built for it, and that entry would stay cached; it is
+// rejected before any flight, store or cache is touched.
+void require_finite_budget(double budget_bytes) {
+  if (!std::isfinite(budget_bytes))
+    throw std::invalid_argument("PlanService: budget must be finite");
+}
 
 ScheduleResult infeasible_result(const char* message) {
   ScheduleResult res;
@@ -149,12 +157,6 @@ PlanService::PlanService(PlanServiceOptions options)
   }
 }
 
-int PlanService::thread_budget() const {
-  if (opts_.num_threads > 0) return opts_.num_threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
 PlanService::~PlanService() = default;
 
 std::shared_ptr<CacheEntry> PlanService::acquire(
@@ -203,13 +205,13 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
                                          const IlpSolveOptions& options_in,
                                          double known_lower_bound) {
   // The service thread budget feeds the in-solve parallel tree search
-  // unless the caller pinned num_threads explicitly. Either way the answer
-  // is identical (epoch-lockstep determinism); only wall-clock time
-  // changes. <= 0 covers both 0 (auto) and negative requests: letting a
-  // negative through would reach resolve_tree_threads' auto path and grab
-  // every hardware thread, outside the service budget.
+  // unless the caller pinned num_threads explicitly (resolve_tree_threads
+  // maps a budget of 0 to one worker per hardware thread). Either way the
+  // answer is identical (epoch-lockstep determinism); only wall-clock time
+  // changes. <= 0 covers both 0 and negative requests: a negative query
+  // count gets the service budget, never a path of its own.
   IlpSolveOptions options = options_in;
-  if (options.num_threads <= 0) options.num_threads = thread_budget();
+  if (options.num_threads <= 0) options.num_threads = opts_.num_threads;
   {
     std::lock_guard lock(stats_mu_);
     ++stats_.queries;
@@ -264,6 +266,7 @@ ScheduleResult PlanService::solve_locked(CacheEntry& entry,
 PlanOutcome PlanService::plan_robust(const RematProblem& problem,
                                      double budget_bytes,
                                      const IlpSolveOptions& options) {
+  require_finite_budget(budget_bytes);
   // Rung 0: a budget below the structural memory floor (some single-stage
   // working set alone exceeds it) is a *proof* of infeasibility -- nothing
   // below can help, so it runs ahead of every admission mechanism (a
@@ -521,6 +524,7 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
 std::vector<PlanOutcome> PlanService::sweep_robust(
     const RematProblem& problem, const std::vector<double>& budgets,
     const IlpSolveOptions& options) {
+  for (double b : budgets) require_finite_budget(b);
   std::vector<PlanOutcome> out(budgets.size());
   if (budgets.empty()) return out;
   // Descending budget order keeps the reuse effective: the first point

@@ -160,7 +160,8 @@ class PlanService {
   // that produced nothing (or died on a fault) falls back to the cheapest
   // simulator-validated baseline schedule within options.cost_cap; only a
   // *proof* that no plan exists yields kInfeasible. Set options.deadline /
-  // options.cancel to bound the query.
+  // options.cancel to bound the query. A NaN or infinite budget throws
+  // std::invalid_argument before the service's state is touched.
   PlanOutcome plan_robust(const RematProblem& problem, double budget_bytes,
                           const IlpSolveOptions& options = {});
   // Budget sweep over one model (the Figure 5 workload): plan_robust per
@@ -168,6 +169,7 @@ class PlanService {
   // point's cache entry, presolve artifacts and staircase step. The
   // remaining deadline is re-apportioned across the points so one slow
   // point cannot starve the rest; results come back in the caller's order.
+  // Any non-finite budget throws, as in plan_robust, before the first point.
   std::vector<PlanOutcome> sweep_robust(const RematProblem& problem,
                                         const std::vector<double>& budgets,
                                         const IlpSolveOptions& options = {});
@@ -209,8 +211,6 @@ class PlanService {
   // Store lookup -> admission slot (or shed) -> ladder -> store put.
   PlanOutcome serve_or_solve(const RematProblem& problem, double budget_bytes,
                              const IlpSolveOptions& options);
-  // The resolved per-query tree-worker count (>= 1).
-  int thread_budget() const;
 
   PlanServiceOptions opts_;
   FormulationCache cache_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "lp/simplex.h"
 #include "milp/milp.h"
 #include "milp/presolve.h"
@@ -20,6 +22,25 @@ TEST(IlpBuilder, RejectsNonPositiveBudget) {
   IlpBuildOptions opts;
   opts.budget_bytes = 0.0;
   EXPECT_THROW(IlpFormulation(p, opts), std::invalid_argument);
+}
+
+TEST(IlpBuilder, RejectsNonFiniteBudget) {
+  // The memory scale is budget / 100: an infinite budget would zero every
+  // memory coefficient and a NaN would poison them all.
+  auto p = RematProblem::unit_chain(3);
+  IlpBuildOptions opts;
+  for (double b : {std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    opts.budget_bytes = b;
+    EXPECT_THROW(IlpFormulation(p, opts), std::invalid_argument) << b;
+  }
+  opts.budget_bytes = 4.0;
+  IlpFormulation f(p, opts);
+  EXPECT_THROW(f.set_budget(std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_THROW(f.set_budget(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(f.options().budget_bytes, 4.0);
 }
 
 TEST(IlpBuilder, PartitionedVariableTriangularity) {

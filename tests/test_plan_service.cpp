@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "core/ilp_builder.h"
 #include "core/remat_problem.h"
@@ -272,6 +274,35 @@ TEST(PlanService, StaircaseKeepsEveryStepNotJustTheLastSolve) {
   EXPECT_EQ(st.warm_start_shortcuts, 1);
   EXPECT_EQ(st.store_hits, 0);
   EXPECT_EQ(svc.plan_store(), nullptr);
+}
+
+TEST(PlanService, NonFiniteBudgetThrowsAndLeavesTheCacheClean) {
+  // An infinite budget would build a formulation with every memory
+  // coefficient zeroed, and the cached entry would then fail every later
+  // finite query on the same problem; a NaN budget would "prove" a plan
+  // optimal. Both are rejected before any flight, store or cache is
+  // touched, and a finite query on the same service still solves.
+  const auto p = RematProblem::unit_training_chain(4);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  service::PlanService svc;
+  for (double b : {inf, -inf, nan})
+    EXPECT_THROW(svc.plan_robust(p, b, fast_opts()), std::invalid_argument)
+        << b;
+  EXPECT_THROW(svc.sweep_robust(p, {6.0, nan}, fast_opts()),
+               std::invalid_argument);
+  EXPECT_EQ(svc.stats().queries, 0);
+  EXPECT_EQ(svc.cache_size(), 0u);
+  const auto out = svc.plan_robust(p, 5.0, fast_opts());
+  EXPECT_EQ(out.provenance, service::PlanProvenance::kProvenOptimal)
+      << out.why_degraded;
+  EXPECT_GT(out.result.nodes, 0);
+
+  const Scheduler sched(p);
+  for (double b : {inf, nan})
+    EXPECT_THROW(sched.solve_optimal_ilp(b, fast_opts()),
+                 std::invalid_argument)
+        << b;
 }
 
 TEST(PlanService, NegativeQueryThreadCountGetsTheServiceBudget) {

@@ -634,7 +634,7 @@ TEST(DualSimplex, ForrestTomlinMatchesDenseReference) {
   ASSERT_EQ(dense.status, LpStatus::kOptimal);
   EXPECT_NEAR(res.objective, dense.objective, 1e-6);
   EXPECT_LE(lp.max_violation(res.x), 1e-6);
-  EXPECT_GT(engine.stats().ft_updates, 0);
+  EXPECT_GT(engine.stats().lp_ft_updates, 0);
 }
 
 TEST(DualSimplex, ForrestTomlinMatchesDenseReferenceOnRandomCorpus) {
