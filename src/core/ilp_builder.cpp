@@ -57,38 +57,26 @@ void IlpFormulation::build() {
     for (int i = 0; i <= r_hi; ++i) {
       // (8a): R[t][t] fixed to 1 in the partitioned form.
       const double lb = (part && i == t) ? 1.0 : 0.0;
-      r_[t][i] = lp_.add_var(lb, 1.0, cost[i], /*integer=*/true,
-                             "R_" + std::to_string(t) + "_" +
-                                 std::to_string(i));
+      r_[t][i] = lp_.add_var(lb, 1.0, cost[i], /*integer=*/true);
     }
     // (1d)/(8b): no stage-0 checkpoints; lower-triangular S when partitioned.
     if (t >= 1) {
       const int s_hi = part ? t - 1 : n - 1;
       for (int i = 0; i <= s_hi; ++i)
-        s_[t][i] = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true,
-                               "S_" + std::to_string(t) + "_" +
-                                   std::to_string(i));
+        s_[t][i] = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true);
     }
     const int u_hi = part ? t : n - 1;
     for (int k = 0; k <= u_hi; ++k) {
-      u_[t][k] = lp_.add_var(0.0, budget, 0.0, /*integer=*/false,
-                             "U_" + std::to_string(t) + "_" +
-                                 std::to_string(k));
+      u_[t][k] = lp_.add_var(0.0, budget, 0.0, /*integer=*/false);
       u_flat_.push_back(u_[t][k]);
     }
     for (int k = 0; k <= u_hi; ++k) {
       for (NodeId i : p.graph.deps(k)) {
-        const int var = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true,
-                                    "F_" + std::to_string(t) + "_" +
-                                        std::to_string(i) + "_" +
-                                        std::to_string(k));
+        const int var = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true);
         free_[t].push_back({i, static_cast<NodeId>(k), var});
       }
       if (!opts_.eliminate_diag_free) {
-        const int var = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true,
-                                    "F_" + std::to_string(t) + "_" +
-                                        std::to_string(k) + "_" +
-                                        std::to_string(k));
+        const int var = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true);
         free_[t].push_back({static_cast<NodeId>(k), static_cast<NodeId>(k),
                             var});
       }

@@ -108,18 +108,13 @@ void IlpFormulation::build_interval() {
     for (int i = 0; i <= t; ++i) {
       if (i != t && t > comp_until[i]) continue;
       const double lb = (i == t) ? 1.0 : 0.0;  // (8a): frontier recomputed
-      r_[t][i] = lp_.add_var(lb, 1.0, cost[i], /*integer=*/true,
-                             "R_" + std::to_string(t) + "_" +
-                                 std::to_string(i));
+      r_[t][i] = lp_.add_var(lb, 1.0, cost[i], /*integer=*/true);
     }
     for (int i = 0; i < t; ++i) {
       if (t > keep_until[i]) continue;
-      s_[t][i] = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true,
-                             "S_" + std::to_string(t) + "_" +
-                                 std::to_string(i));
+      s_[t][i] = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true);
     }
-    u_[t][0] = lp_.add_var(0.0, budget, 0.0, /*integer=*/false,
-                           "U_" + std::to_string(t));
+    u_[t][0] = lp_.add_var(0.0, budget, 0.0, /*integer=*/false);
     u_flat_.push_back(u_[t][0]);
   }
 

@@ -11,7 +11,6 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,7 +24,6 @@ struct LinearProgram {
   std::vector<double> obj;
   std::vector<double> lb, ub;
   std::vector<bool> is_integer;
-  std::vector<std::string> var_names;
 
   // Constraint rows as triplets plus per-row activity bounds.
   std::vector<Triplet> entries;
@@ -50,19 +48,17 @@ struct LinearProgram {
   int num_rows() const { return static_cast<int>(row_lb.size()); }
 
   // Adds a variable, returning its index.
-  int add_var(double lower, double upper, double cost, bool integer = false,
-              std::string name = {}) {
+  int add_var(double lower, double upper, double cost, bool integer = false) {
     if (lower > upper) throw std::invalid_argument("add_var: lower > upper");
     obj.push_back(cost);
     lb.push_back(lower);
     ub.push_back(upper);
     is_integer.push_back(integer);
-    var_names.push_back(std::move(name));
     return num_vars() - 1;
   }
 
-  int add_binary(double cost, std::string name = {}) {
-    return add_var(0.0, 1.0, cost, /*integer=*/true, std::move(name));
+  int add_binary(double cost) {
+    return add_var(0.0, 1.0, cost, /*integer=*/true);
   }
 
   // Adds the ranged constraint lower <= sum(terms) <= upper. Use kInf / -kInf

@@ -92,45 +92,65 @@ void DualSimplex::compute_scaling(const LinearProgram& lp) {
   if (!opt_.scaling) return;
   const int prefix =
       lp.scaling_rows < 0 ? m_ : std::min(lp.scaling_rows, m_);
-  // Per-row / per-column sums of log-magnitudes over participating entries.
-  std::vector<double> rho(m_, 0.0), gamma(n_, 0.0);
-  std::vector<int> row_cnt(m_, 0), col_cnt(n_, 0);
-  std::vector<double> logs;
-  logs.reserve(lp.entries.size());
-  std::vector<const Triplet*> live;
-  live.reserve(lp.entries.size());
+  // The live entries' log-magnitudes, laid out once row-major (row_log,
+  // row_col) and column-major (col_log, col_row) by stable counting sorts:
+  // each row's and each column's sum adds its entries in lp.entries order,
+  // so the factors do not depend on the layout.
+  std::vector<int> row_start(m_ + 1, 0), col_start(n_ + 1, 0);
   for (const Triplet& t : lp.entries) {
     if (t.row >= prefix || t.value == 0.0) continue;
-    live.push_back(&t);
-    logs.push_back(std::log2(std::abs(t.value)));
-    ++row_cnt[t.row];
-    ++col_cnt[t.col];
+    ++row_start[t.row + 1];
+    ++col_start[t.col + 1];
   }
+  for (int i = 0; i < m_; ++i) row_start[i + 1] += row_start[i];
+  for (int j = 0; j < n_; ++j) col_start[j + 1] += col_start[j];
+  const int live = row_start[m_];
+  std::vector<double> row_log(live), col_log(live);
+  std::vector<int> row_col(live), col_row(live);
+  {
+    std::vector<int> row_next(row_start.begin(), row_start.end() - 1);
+    std::vector<int> col_next(col_start.begin(), col_start.end() - 1);
+    for (const Triplet& t : lp.entries) {
+      if (t.row >= prefix || t.value == 0.0) continue;
+      const double log = std::log2(std::abs(t.value));
+      const int r = row_next[t.row]++, c = col_next[t.col]++;
+      row_log[r] = log;
+      row_col[r] = t.col;
+      col_log[c] = log;
+      col_row[c] = t.row;
+    }
+  }
+  // Gauss-Seidel sweeps: rho from the current gamma, then gamma from rho.
+  std::vector<double> rho(m_, 0.0), gamma(n_, 0.0);
   for (int sweep = 0; sweep < 20; ++sweep) {
-    std::vector<double> acc(m_, 0.0);
-    for (size_t k = 0; k < live.size(); ++k)
-      acc[live[k]->row] += logs[k] + gamma[live[k]->col];
-    for (int i = 0; i < m_; ++i)
-      if (row_cnt[i] > 0) rho[i] = -acc[i] / row_cnt[i];
-    std::vector<double> cacc(n_, 0.0);
-    for (size_t k = 0; k < live.size(); ++k)
-      cacc[live[k]->col] += logs[k] + rho[live[k]->row];
-    for (int j = 0; j < n_; ++j)
-      if (col_cnt[j] > 0) gamma[j] = -cacc[j] / col_cnt[j];
+    for (int i = 0; i < m_; ++i) {
+      if (row_start[i] == row_start[i + 1]) continue;
+      double acc = 0.0;
+      for (int k = row_start[i]; k < row_start[i + 1]; ++k)
+        acc += row_log[k] + gamma[row_col[k]];
+      rho[i] = -acc / (row_start[i + 1] - row_start[i]);
+    }
+    for (int j = 0; j < n_; ++j) {
+      if (col_start[j] == col_start[j + 1]) continue;
+      double acc = 0.0;
+      for (int k = col_start[j]; k < col_start[j + 1]; ++k)
+        acc += col_log[k] + rho[col_row[k]];
+      gamma[j] = -acc / (col_start[j + 1] - col_start[j]);
+    }
   }
   auto rounded = [](double v) {
     const double c = std::max(-20.0, std::min(20.0, v));
     return static_cast<int>(std::lround(c));
   };
   for (int j = 0; j < n_; ++j) {
-    const int e = col_cnt[j] > 0 ? rounded(gamma[j]) : 0;
+    const int e = col_start[j] < col_start[j + 1] ? rounded(gamma[j]) : 0;
     scale_[j] = std::exp2(static_cast<double>(e));
     hash_exp(j, e);
   }
   for (int i = 0; i < m_; ++i) {
     // Slack column scale is 1/r_i: the scaled slack column stays exactly
     // -1, so the engine's hardcoded slack handling is untouched.
-    const int e = row_cnt[i] > 0 ? rounded(rho[i]) : 0;
+    const int e = row_start[i] < row_start[i + 1] ? rounded(rho[i]) : 0;
     scale_[n_ + i] = std::exp2(static_cast<double>(-e));
     hash_exp(n_ + i, -e);
   }

@@ -18,6 +18,20 @@
 // in the output. Columns are never renumbered -- fixings are expressed as
 // lb == ub -- so solution vectors, incumbent heuristics and branching
 // priorities carry over unchanged.
+//
+// Cost: O(nnz + m + n) to build the row view, then per round an O(m)
+// scan of the dirty flags plus O(nnz) of the rows re-examined. The rows are
+// one flat CSR array pair (a stable counting sort of the triplets by row;
+// duplicate columns merge into their first appearance, summed in input
+// order, and zero sums drop out). A column -> rows index drives the
+// worklist: a row is re-examined only when a bound of one of its columns
+// moved since its last visit (its own tightenings included). Rounds still
+// sweep in row-index order, so the reductions and stats.rounds equal
+// those of full sweeps: a clean row's visit would repeat a no-op.
+//
+// Within a row, activities are summed in the input's entry order (the
+// builders' emission order), and the output keeps that order, so the
+// presolved LP depends on the input alone, not on the standard library.
 #pragma once
 
 #include <span>
@@ -25,15 +39,6 @@
 #include "lp/lp_problem.h"
 
 namespace checkmate::milp {
-
-struct PresolveOptions {
-  int max_rounds = 16;       // propagation sweeps before giving up on fixpoint
-  double feasibility_tol = 1e-9;
-  double integrality_tol = 1e-6;
-  // Minimum improvement for a continuous-bound tightening to be recorded
-  // (avoids churning on epsilon improvements that never fix anything).
-  double min_tighten = 1e-7;
-};
 
 struct PresolveStats {
   int rounds = 0;
@@ -45,13 +50,13 @@ struct PresolveStats {
 
 struct PresolveResult {
   // Reduced problem: identical columns (with tightened bounds), redundant
-  // rows removed. Meaningless when stats.proven_infeasible.
+  // rows removed, duplicate entries merged. Meaningless when
+  // stats.proven_infeasible.
   lp::LinearProgram lp;
   PresolveStats stats;
 };
 
-PresolveResult presolve(const lp::LinearProgram& lp,
-                        const PresolveOptions& options = {});
+PresolveResult presolve(const lp::LinearProgram& lp);
 
 // Rebind API for presolve-artifact reuse across related instances.
 //
