@@ -25,10 +25,14 @@ Handles both committed formats:
                      (instance, cold|cached), gated on total node counts;
                      additionally fails if any fresh sweep point lost
                      proven optimality, the cold/cached objectives
-                     diverged beyond the gap, or an instance served fewer
+                     diverged beyond the gap, an instance served fewer
                      points from the budget staircase (service.shortcuts)
                      than the baseline -- a lost shortcut costs only a
-                     node or two, which the node gate cannot see.
+                     node or two, which the node gate cannot see -- or a
+                     point where both paths proved optimality took more
+                     cached nodes than cold ones (every service solve
+                     builds fresh, and the staircase's carried dual bound
+                     can only stop the same search earlier).
   BENCH_service.json (service_bench --json): records keyed by
                      (phase, replay), gated on total node counts plus the
                      admission contracts: the served-without-solve rate of
@@ -309,6 +313,15 @@ def main():
                   f"{inst['cached_wall_seconds']:.2f}s)")
             if not inst.get("all_optimal", False):
                 failures.append(f"{name}: fresh sweep lost proven optimality")
+            for pt in inst.get("sweep", []):
+                if (pt["cold_status"] == "optimal"
+                        and pt["cached_status"] == "optimal"
+                        and pt["cached_nodes"] > pt["cold_nodes"]):
+                    failures.append(
+                        f"{name}: budget {pt['budget_bytes']:g}: cached "
+                        f"nodes {pt['cached_nodes']} > cold nodes "
+                        f"{pt['cold_nodes']}: the service solve depends on "
+                        f"query history")
             gap = fresh_doc.get("relative_gap", 1e-3)
             if inst.get("max_cost_rel_diff", 0.0) > gap:
                 failures.append(

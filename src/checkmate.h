@@ -33,5 +33,4 @@
 #include "model/graph_builder.h"
 #include "model/model_stats.h"
 #include "model/zoo.h"
-#include "service/formulation_cache.h"
 #include "service/plan_service.h"

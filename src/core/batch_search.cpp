@@ -74,10 +74,9 @@ MaxBatchResult max_batch_size(const ProblemFactory& factory,
 
 FeasibilityProbe make_ilp_probe(double budget_bytes,
                                 double per_probe_time_limit_sec) {
-  // One plan service per probe: each bisection step is a distinct problem
-  // (the batch scales the memories), but repeated probes of one batch size
-  // -- or a later re-bracketing pass -- hit the cached formulation. The
-  // service is shared across copies of the returned std::function.
+  // One plan service per probe, shared across copies of the returned
+  // std::function; each bisection step is a distinct problem (the batch
+  // scales the memories).
   auto service = std::make_shared<service::PlanService>();
   return [budget_bytes, per_probe_time_limit_sec,
           service](const RematProblem& p) {
@@ -93,8 +92,8 @@ FeasibilityProbe make_ilp_probe(double budget_bytes,
                              }))
       return true;
 
-    // MILP feasibility through the plan service (cost cap keyed into the
-    // formulation cache; first-incumbent mode). Only a MILP plan answers
+    // MILP feasibility through the plan service (cost cap in the
+    // formulation; first-incumbent mode). Only a MILP plan answers
     // the probe: a proven optimum or a truncated search's incumbent, both
     // of which respect the cap inside the formulation.
     IlpSolveOptions opts;

@@ -62,8 +62,7 @@ MaxBatchResult max_batch_size(const ProblemFactory& factory,
 // with the Eq. 10 cost cap. `budget_bytes` matches MaxBatchOptions. A
 // baselines::best_seed schedule within budget and cap answers without a
 // solve. Solves are routed through a service::PlanService shared by all
-// copies of the returned probe, so re-probed instances hit the formulation
-// cache.
+// copies of the returned probe.
 FeasibilityProbe make_ilp_probe(double budget_bytes,
                                 double per_probe_time_limit_sec = 30.0);
 

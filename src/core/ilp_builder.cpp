@@ -31,8 +31,6 @@ void IlpFormulation::build() {
   const bool part = opts_.partitioned;
 
   // ---- Scaling. Memory in budget-percent units, cost relative to max.
-  // The scale is frozen at construction: set_budget() later moves only the
-  // U upper bounds, never the constraint coefficients derived here.
   mem_scale_ = opts_.budget_bytes / 100.0;
   cost_scale_ = 1.0;
   for (double c : p.cost) cost_scale_ = std::max(cost_scale_, c);
@@ -68,7 +66,6 @@ void IlpFormulation::build() {
     const int u_hi = part ? t : n - 1;
     for (int k = 0; k <= u_hi; ++k) {
       u_[t][k] = lp_.add_var(0.0, budget, 0.0, /*integer=*/false);
-      u_flat_.push_back(u_[t][k]);
     }
     for (int k = 0; k <= u_hi; ++k) {
       for (NodeId i : p.graph.deps(k)) {
@@ -177,15 +174,6 @@ void IlpFormulation::build() {
         if (r_at(t, i) >= 0) terms.push_back({r_at(t, i), cost[i]});
     lp_.add_le(terms, *opts_.cost_cap / cost_scale_);
   }
-}
-
-void IlpFormulation::set_budget(double budget_bytes) {
-  if (!(budget_bytes > 0.0) || !std::isfinite(budget_bytes))
-    throw std::invalid_argument(
-        "set_budget: budget must be positive and finite");
-  opts_.budget_bytes = budget_bytes;
-  const double scaled = budget_bytes / mem_scale_;
-  for (int var : u_flat_) lp_.ub[var] = scaled;
 }
 
 milp::FormulationStructure IlpFormulation::cut_structure() const {

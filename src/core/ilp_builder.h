@@ -69,27 +69,8 @@ class IlpFormulation {
   IlpFormulation(const RematProblem& problem, const IlpBuildOptions& options);
 
   const lp::LinearProgram& lp() const { return lp_; }
-  lp::LinearProgram& mutable_lp() { return lp_; }
   const IlpBuildOptions& options() const { return opts_; }
   const RematProblem& problem() const { return *problem_; }
-
-  // Rebinds the memory budget in place. The budget enters the formulation
-  // only as the upper bound of the U variables (memory coefficients are
-  // scaled by a factor frozen at construction time), so a sweep over
-  // budgets can reuse one built formulation: only num-U variable bounds
-  // change, every constraint row stays identical. This is what makes the
-  // plan service's formulation cache sound (src/service/). Like the
-  // constructor, throws std::invalid_argument unless the budget is
-  // positive and finite.
-  void set_budget(double budget_bytes);
-
-  // Budget in the LP's scaled memory units (the U upper bound).
-  double scale_budget(double budget_bytes) const {
-    return budget_bytes / mem_scale_;
-  }
-
-  // Indices of every U variable (targets of a budget rebind), ascending.
-  const std::vector<int>& u_var_indices() const { return u_flat_; }
 
   // Branching priorities: S > R > FREE (checkpoint decisions dominate).
   std::vector<int> branch_priorities() const;
@@ -107,8 +88,8 @@ class IlpFormulation {
   //     ub(U[t][t]) - overhead - M_t - sum_{deps(t)} M_i, a strictly
   //     tighter capacity than the plain row.
   // Capacities are expressed through the U columns' upper bounds, so the
-  // view survives set_budget() rebinds and presolve tightenings unchanged;
-  // column indices survive presolve (no renumbering). The view is cheap to
+  // view survives presolve and root-fixing tightenings unchanged; column
+  // indices survive presolve (no renumbering). The view is cheap to
   // build and does not reference this formulation after construction.
   milp::FormulationStructure cut_structure() const;
 
@@ -153,7 +134,6 @@ class IlpFormulation {
   double overhead_scaled_ = 0.0;
 
   std::vector<std::vector<int>> r_, s_, u_;
-  std::vector<int> u_flat_;  // all U variable indices, ascending
   // free_[t] lists (i, k, var) for every FREE variable of stage t.
   struct FreeVar {
     NodeId i, k;

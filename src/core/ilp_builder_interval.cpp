@@ -22,9 +22,7 @@
 //
 // One continuous U column and one equality row per stage replace the
 // per-step recurrence and the FREE machinery entirely. The budget enters
-// only through the U upper bounds, so set_budget() stays a pure bound
-// rebind and the formulation cache's budget-sweep reuse carries over
-// unchanged.
+// only through the U upper bounds, as in the dense backend.
 //
 // Soundness: stage-granular residency can only over-count the dense
 // per-step usage, so every interval-feasible schedule is dense-feasible at
@@ -55,8 +53,7 @@ void IlpFormulation::build_interval() {
         "IlpFormulation: the interval backend requires the partitioned "
         "(frontier-advancing) form");
 
-  // Same scaling contract as the dense backend: frozen at construction so
-  // set_budget() later touches only the U upper bounds.
+  // Same scaling as the dense backend: memory in budget-percent units.
   mem_scale_ = opts_.budget_bytes / 100.0;
   cost_scale_ = 1.0;
   for (double c : p.cost) cost_scale_ = std::max(cost_scale_, c);
@@ -115,7 +112,6 @@ void IlpFormulation::build_interval() {
       s_[t][i] = lp_.add_var(0.0, 1.0, 0.0, /*integer=*/true);
     }
     u_[t][0] = lp_.add_var(0.0, budget, 0.0, /*integer=*/false);
-    u_flat_.push_back(u_[t][0]);
   }
 
   // ---- (1b): R[t][j] <= R[t][i] + S[t][i] for each edge (i, j). Rows are

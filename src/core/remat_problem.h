@@ -47,8 +47,9 @@ struct RematProblem {
   // topology (edge list), per-node costs and memories (exact bit
   // patterns), the fixed overhead, and the backward/grad structure. Names
   // are cosmetic and excluded. Two problems with equal fingerprints yield
-  // identical formulations at any budget, so the hash keys the plan
-  // service's formulation cache (src/service/formulation_cache.h).
+  // identical formulations at any budget, so the hash routes the plan
+  // store's staircase lookups and the plan service's single-flight
+  // requests.
   uint64_t fingerprint() const;
 
   // Canonical byte encoding of exactly the content fingerprint() hashes

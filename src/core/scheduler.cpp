@@ -42,9 +42,12 @@ ScheduleResult Scheduler::evaluate_schedule(const RematSolution& sol,
   return evaluate_schedule_against(problem_, sol, budget_bytes);
 }
 
-ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
-                                        const IlpSolveOptions& options,
-                                        const IlpSolveReuse& reuse) {
+namespace {
+
+// The optimal-ILP path over a formulation built for the query budget.
+ScheduleResult solve_formulation(const IlpFormulation& form,
+                                 const IlpSolveOptions& options,
+                                 double known_lower_bound_cost) {
   const RematProblem& problem = form.problem();
   const double budget_bytes = form.options().budget_bytes;
   const bool partitioned = form.options().partitioned;
@@ -54,15 +57,15 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   mopts.relative_gap = options.relative_gap;
   mopts.branch_priority = form.branch_priorities();
   mopts.stop_at_first_incumbent = options.stop_at_first_incumbent;
-  mopts.presolve = options.presolve && reuse.presolved_lp == nullptr;
+  mopts.presolve = options.presolve;
   mopts.pseudocost_branching = options.pseudocost_branching;
   mopts.root_reduced_cost_fixing = options.root_reduced_cost_fixing;
   mopts.simplex.scaling = options.lp_scaling;
   mopts.gomory_cuts = options.gomory_cuts;
   // Branch & cut: hand the solver the formulation's knapsack view of the
   // memory rows. The structure outlives the solve (stack scope below) and
-  // survives presolve and set_budget rebinds (capacities are read from the
-  // live U upper bounds at separation time).
+  // survives presolve and root-fixing tightenings (capacities are read from
+  // the live U upper bounds at separation time).
   milp::FormulationStructure cut_structure;
   mopts.cut_separation = options.cut_separation;
   mopts.reliability_branching = options.reliability_branching;
@@ -76,8 +79,8 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   mopts.num_threads = options.num_threads;
   mopts.deadline = options.deadline;
   mopts.cancel = options.cancel;
-  if (reuse.known_lower_bound_cost != -lp::kInf)
-    mopts.known_lower_bound = form.scale_cost(reuse.known_lower_bound_cost);
+  if (known_lower_bound_cost != -lp::kInf)
+    mopts.known_lower_bound = form.scale_cost(known_lower_bound_cost);
 
   // Seed branch & bound with the cheapest seed-portfolio schedule that
   // assembles into the formulation, so bound pruning is active from the
@@ -122,9 +125,7 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
     };
   }
 
-  const lp::LinearProgram& target =
-      reuse.presolved_lp ? *reuse.presolved_lp : form.lp();
-  const milp::MilpResult mres = milp::solve_milp(target, mopts, heuristic);
+  const milp::MilpResult mres = milp::solve_milp(form.lp(), mopts, heuristic);
 
   // A partitioned solution is validated end to end by the simulator; the
   // search counters ride along on every path.
@@ -159,11 +160,15 @@ ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
   return res;
 }
 
-ScheduleResult Scheduler::solve_optimal_ilp(
-    double budget_bytes, const IlpSolveOptions& options) const {
+}  // namespace
+
+ScheduleResult solve_optimal_ilp(const RematProblem& problem,
+                                 double budget_bytes,
+                                 const IlpSolveOptions& options,
+                                 double known_lower_bound_cost) {
   if (!std::isfinite(budget_bytes))
     throw std::invalid_argument("solve_optimal_ilp: budget must be finite");
-  if (budget_bytes < problem_.memory_floor()) {
+  if (budget_bytes < problem.memory_floor()) {
     // No schedule can fit: some operation's working set alone exceeds the
     // budget. Saves branch & bound from grinding on a hopeless proof, and
     // the floor itself is the infeasibility certificate.
@@ -171,7 +176,7 @@ ScheduleResult Scheduler::solve_optimal_ilp(
     res.milp_status = milp::MilpStatus::kInfeasible;
     res.message = "budget below structural memory floor";
     res.proven_infeasible = true;
-    res.memory_floor_bytes = problem_.memory_floor();
+    res.memory_floor_bytes = problem.memory_floor();
     return res;
   }
 
@@ -181,8 +186,13 @@ ScheduleResult Scheduler::solve_optimal_ilp(
   build.eliminate_diag_free = options.eliminate_diag_free;
   build.formulation = options.formulation;
   build.cost_cap = options.cost_cap;
-  const IlpFormulation form(problem_, build);
-  return solve_ilp_on_formulation(form, options);
+  const IlpFormulation form(problem, build);
+  return solve_formulation(form, options, known_lower_bound_cost);
+}
+
+ScheduleResult Scheduler::solve_optimal_ilp(
+    double budget_bytes, const IlpSolveOptions& options) const {
+  return checkmate::solve_optimal_ilp(problem_, budget_bytes, options);
 }
 
 ScheduleResult Scheduler::solve_lp_rounding(double budget_bytes,

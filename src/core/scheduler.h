@@ -113,27 +113,19 @@ ScheduleResult evaluate_schedule_against(const RematProblem& problem,
                                          const RematSolution& sol,
                                          double budget_bytes);
 
-// Work the plan service (src/service/) injects to amortize repeated
-// queries; the default-constructed struct reproduces a cold solve.
-struct IlpSolveReuse {
-  // Solve this LP instead of form.lp(): a cached presolve artifact whose U
-  // upper bounds were already clamped to the query budget. The MILP's own
-  // presolve pass is skipped.
-  const lp::LinearProgram* presolved_lp = nullptr;
-  // Caller-guaranteed lower bound on the optimal cost (problem cost
-  // units; -inf = none). The service derives it from budget
-  // monotonicity: for budgets b' <= b, opt(b') >= best_bound(b).
-  double known_lower_bound_cost = -lp::kInf;
-};
-
-// Core optimal-ILP path over an already-built formulation (whose recorded
-// budget is the query budget): baseline seeding, two-phase-rounding
-// incumbent heuristic, branch & bound, end-to-end validation.
-// Scheduler::solve_optimal_ilp wraps it with a fresh build; the plan
-// service calls it against cached formulations.
-ScheduleResult solve_ilp_on_formulation(const IlpFormulation& form,
-                                        const IlpSolveOptions& options,
-                                        const IlpSolveReuse& reuse = {});
+// Section 4: optimal rematerialization via the MILP over a formulation
+// built fresh for this query -- baseline seeding, the two-phase-rounding
+// incumbent heuristic, presolve and branch & bound inside milp::solve_milp,
+// end-to-end validation. `known_lower_bound_cost` (problem cost units; -inf
+// = none) is a caller-guaranteed lower bound on the optimum that only lets
+// the search stop earlier: the plan service passes its budget staircase's
+// dual bound (for budgets b' <= b, opt(b') >= best_bound(b)).
+// Scheduler::solve_optimal_ilp and the plan service both call it. A NaN or
+// infinite budget throws std::invalid_argument.
+ScheduleResult solve_optimal_ilp(const RematProblem& problem,
+                                 double budget_bytes,
+                                 const IlpSolveOptions& options,
+                                 double known_lower_bound_cost = -lp::kInf);
 
 class Scheduler {
  public:
@@ -145,8 +137,7 @@ class Scheduler {
   // ideal; denominator of the overhead metric in Figure 5).
   double ideal_cost() const { return problem_.total_cost_all_nodes(); }
 
-  // Section 4: optimal rematerialization via the MILP. A NaN or infinite
-  // budget throws std::invalid_argument.
+  // Section 4: the free solve_optimal_ilp on this problem.
   ScheduleResult solve_optimal_ilp(double budget_bytes,
                                    const IlpSolveOptions& options = {}) const;
 

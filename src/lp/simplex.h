@@ -16,7 +16,7 @@
 // B&B node warm-starts from the parent basis.
 //
 // Hot-path design (the system's innermost loop -- every B&B node and every
-// cached sweep query bottoms out here):
+// solved sweep query bottoms out here):
 //   - leaving row by dual steepest-edge weights (Forrest-Goldfarb,
 //     updated exactly per pivot with one extra FTRAN of the pivot row);
 //   - two-pass long-step ratio test with bound flips: boxed columns whose

@@ -22,40 +22,51 @@ SparseMatrix::SparseMatrix(int rows, int cols,
       throw std::out_of_range("SparseMatrix: triplet index out of range");
   }
 
-  // Counting sort by column, then sort each column's entries by row and
-  // merge duplicates.
-  std::vector<int> count(cols + 1, 0);
-  for (const Triplet& t : triplets) ++count[t.col + 1];
-  for (int j = 0; j < cols; ++j) count[j + 1] += count[j];
-
-  std::vector<Triplet> sorted(triplets.size());
+  // Two stable counting passes: by row into `order`, then by column
+  // straight into the CSC arrays. Every column's rows then ascend, with
+  // duplicates adjacent in input order.
+  const int nnz_in = static_cast<int>(triplets.size());
+  std::vector<int> order(nnz_in);
   {
-    std::vector<int> next(count.begin(), count.end() - 1);
-    for (const Triplet& t : triplets) sorted[next[t.col]++] = t;
+    std::vector<int> next(rows + 1, 0);
+    for (const Triplet& t : triplets) ++next[t.row + 1];
+    for (int i = 0; i < rows; ++i) next[i + 1] += next[i];
+    for (int k = 0; k < nnz_in; ++k) order[next[triplets[k].row]++] = k;
   }
-
   col_ptr_.assign(cols + 1, 0);
-  row_idx_.reserve(sorted.size());
-  values_.reserve(sorted.size());
-  size_t pos = 0;
-  for (int j = 0; j < cols; ++j) {
-    size_t end = pos;
-    while (end < sorted.size() && sorted[end].col == j) ++end;
-    std::sort(sorted.begin() + pos, sorted.begin() + end,
-              [](const Triplet& a, const Triplet& b) { return a.row < b.row; });
-    for (size_t k = pos; k < end;) {
-      double sum = sorted[k].value;
-      size_t k2 = k + 1;
-      while (k2 < end && sorted[k2].row == sorted[k].row) sum += sorted[k2++].value;
-      if (std::abs(sum) > drop_tol) {
-        row_idx_.push_back(sorted[k].row);
-        values_.push_back(sum);
-      }
-      k = k2;
+  for (const Triplet& t : triplets) ++col_ptr_[t.col + 1];
+  for (int j = 0; j < cols; ++j) col_ptr_[j + 1] += col_ptr_[j];
+  row_idx_.resize(nnz_in);
+  values_.resize(nnz_in);
+  {
+    std::vector<int> next(col_ptr_.begin(), col_ptr_.end() - 1);
+    for (int k : order) {
+      const Triplet& t = triplets[k];
+      const int slot = next[t.col]++;
+      row_idx_[slot] = t.row;
+      values_[slot] = t.value;
     }
-    pos = end;
-    col_ptr_[j + 1] = static_cast<int>(row_idx_.size());
   }
+  // Sum each run of duplicates in that order and compact in place,
+  // dropping sums within drop_tol.
+  int out = 0;
+  for (int j = 0; j < cols; ++j) {
+    const int begin = col_ptr_[j];
+    const int end = col_ptr_[j + 1];
+    col_ptr_[j] = out;
+    for (int k = begin; k < end;) {
+      const int row = row_idx_[k];
+      double sum = values_[k++];
+      while (k < end && row_idx_[k] == row) sum += values_[k++];
+      if (std::abs(sum) > drop_tol) {
+        row_idx_[out] = row;
+        values_[out++] = sum;
+      }
+    }
+  }
+  col_ptr_[cols] = out;
+  row_idx_.resize(out);
+  values_.resize(out);
 
   // Build the CSR mirror from the finalized CSC arrays (counting sort by
   // row; within a row, columns arrive in ascending order for free).

@@ -16,7 +16,8 @@ struct Triplet {
 };
 
 // CSC matrix with a row-wise (CSR) mirror. Duplicate triplets are summed
-// during construction; entries with |value| <= drop_tol are dropped.
+// in input order during construction; entries with |value| <= drop_tol
+// are dropped.
 // Columns are frozen after construction, but rows can be appended
 // (append_rows) -- the branch & cut search grows the working LP by cut
 // rows against a warm simplex basis.

@@ -25,10 +25,9 @@
 //
 // The capacity of each knapsack is NOT a baked constant: it is read from
 // the current upper bound of a designated U column (capacity_var) at
-// separation time, so cuts automatically respect budget rebinds
-// (IlpFormulation::set_budget) and presolve/root-fixing tightenings -- a
-// smaller capacity only strengthens the separated cuts, never invalidates
-// them.
+// separation time, so cuts automatically respect presolve and
+// root-fixing tightenings of the U bounds -- a smaller capacity only
+// strengthens the separated cuts, never invalidates them.
 //
 // The CutPool collects separated cuts across separation sites (root
 // rounds, node-local separation inside worker dives), deduplicates them by

@@ -58,14 +58,12 @@ struct PresolveResult {
 
 PresolveResult presolve(const lp::LinearProgram& lp);
 
-// Rebind API for presolve-artifact reuse across related instances.
+// Bound clamps on an already-presolved program.
 //
 // Every reduction above is monotone in the variable bounds: if the pass ran
 // against bounds B and a caller then *shrinks* some upper bounds (the
 // feasible set only shrinks), all removed rows stay redundant and all
-// fixings/tightenings stay valid. The plan service exploits this by
-// presolving the Checkmate LP once at the largest budget of a sweep and
-// clamping the U-variable upper bounds per query instead of re-presolving.
+// fixings/tightenings stay valid.
 //
 // Clamps ub[j] = min(ub[j], upper) for each listed variable. Returns false
 // when a clamp proves the instance infeasible (some lb[j] ends up above the
@@ -77,8 +75,7 @@ bool clamp_upper_bounds(lp::LinearProgram& lp, std::span<const int> vars,
 // Mirror of clamp_upper_bounds for the other side: lb[j] = max(lb[j],
 // lower). Branch & bound feeds root reduced-cost fixings through these two
 // clamps (fix-to-lower clamps the upper bound, fix-to-upper raises the
-// lower bound), so the fixings ride the same monotone-in-bounds argument
-// as the plan service's presolve-artifact reuse.
+// lower bound), so the fixings ride that monotone-in-bounds argument.
 bool raise_lower_bounds(lp::LinearProgram& lp, std::span<const int> vars,
                         double lower, double feasibility_tol = 1e-9);
 

@@ -17,8 +17,8 @@ namespace checkmate::service {
 namespace {
 
 // A NaN or infinite budget would zero (or poison) every memory coefficient
-// of the formulation built for it, and that entry would stay cached; it is
-// rejected before any flight, store or cache is touched.
+// of the formulation built for it, and a NaN budget would "prove" a plan
+// optimal; it is rejected before any flight or store is touched.
 void require_finite_budget(double budget_bytes) {
   if (!std::isfinite(budget_bytes))
     throw std::invalid_argument("PlanService: budget must be finite");
@@ -145,8 +145,7 @@ const char* to_string(PlanProvenance provenance) {
   return "unknown";
 }
 
-PlanService::PlanService(PlanServiceOptions options)
-    : opts_(options), cache_(options.max_cache_entries) {
+PlanService::PlanService(PlanServiceOptions options) : opts_(options) {
   // Store construction recovers whatever a previous process left behind
   // (quarantining corrupt records); an unusable directory disables
   // persistence rather than failing the service.
@@ -158,110 +157,6 @@ PlanService::PlanService(PlanServiceOptions options)
 }
 
 PlanService::~PlanService() = default;
-
-std::shared_ptr<CacheEntry> PlanService::acquire(
-    const RematProblem& problem, double reference_budget_bytes,
-    const IlpSolveOptions& options) {
-  IlpBuildOptions build;
-  build.budget_bytes = reference_budget_bytes;
-  build.partitioned = options.partitioned;
-  build.eliminate_diag_free = options.eliminate_diag_free;
-  build.formulation = options.formulation;
-  build.cost_cap = options.cost_cap;
-  bool hit = false;
-  int64_t evictions = 0;
-  auto entry = cache_.acquire(problem, build, &hit, &evictions);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++(hit ? stats_.formulation_hits : stats_.formulation_misses);
-    stats_.evictions += evictions;
-  }
-  return entry;
-}
-
-void PlanService::ensure_presolve(CacheEntry& entry,
-                                  double reference_budget_bytes,
-                                  const IlpSolveOptions& options) {
-  if (!options.presolve) return;
-  // Artifacts presolved at budget B are sound for any budget <= B (the
-  // clamp only shrinks the feasible set); only a larger budget forces a
-  // fresh pass.
-  if (entry.has_presolve &&
-      reference_budget_bytes <=
-          entry.presolve_budget_bytes * (1.0 + 1e-12))
-    return;
-  entry.form->set_budget(reference_budget_bytes);
-  milp::PresolveResult pre = milp::presolve(entry.form->lp());
-  entry.presolved = std::move(pre.lp);
-  entry.presolve_stats = pre.stats;
-  entry.presolve_budget_bytes = reference_budget_bytes;
-  entry.has_presolve = true;
-  std::lock_guard lock(stats_mu_);
-  ++stats_.presolve_runs;
-}
-
-ScheduleResult PlanService::solve_locked(CacheEntry& entry,
-                                         double budget_bytes,
-                                         const IlpSolveOptions& options_in,
-                                         double known_lower_bound) {
-  // The service thread budget feeds the in-solve parallel tree search
-  // unless the caller pinned num_threads explicitly (resolve_tree_threads
-  // maps a budget of 0 to one worker per hardware thread). Either way the
-  // answer is identical (epoch-lockstep determinism); only wall-clock time
-  // changes. <= 0 covers both 0 and negative requests: a negative query
-  // count gets the service budget, never a path of its own.
-  IlpSolveOptions options = options_in;
-  if (options.num_threads <= 0) options.num_threads = opts_.num_threads;
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.queries;
-  }
-  if (entry.form->options().budget_bytes != budget_bytes) {
-    entry.form->set_budget(budget_bytes);
-    std::lock_guard lock(stats_mu_);
-    ++stats_.budget_rebinds;
-  }
-  ensure_presolve(entry, budget_bytes, options);
-
-  IlpSolveReuse reuse;
-  reuse.known_lower_bound_cost = known_lower_bound;
-
-  lp::LinearProgram clamped;
-  if (options.presolve && entry.has_presolve) {
-    if (entry.presolve_stats.proven_infeasible) {
-      // Proven infeasible at a budget >= this one; the subset relation
-      // settles every smaller budget too.
-      return infeasible_result("presolve proved the instance infeasible");
-    }
-    if (budget_bytes >= entry.presolve_budget_bytes) {
-      // Presolved at exactly this budget: the clamp would be a no-op
-      // (presolve only ever tightens U below the budget bound), so hand
-      // the cached artifact over without copying. The entry mutex is held
-      // for the whole solve.
-      reuse.presolved_lp = &entry.presolved;
-    } else {
-      clamped = entry.presolved;
-      if (!milp::clamp_upper_bounds(clamped, entry.form->u_var_indices(),
-                                    entry.form->scale_budget(budget_bytes)))
-        return infeasible_result(
-            "budget contradicts presolve-derived lower bounds");
-      // Re-propagate on the clamped artifact: the shared pass's row
-      // removals and fixings carry over, and one cheap incremental pass
-      // over the already-reduced LP recovers the tight-budget fixings a
-      // from-scratch presolve would find (a tighter U bound cascades into
-      // S/R fixings the loose-budget pass could not make).
-      milp::PresolveResult pre = milp::presolve(clamped);
-      if (pre.stats.proven_infeasible)
-        return infeasible_result("presolve proved the instance infeasible");
-      clamped = std::move(pre.lp);
-      reuse.presolved_lp = &clamped;
-    }
-    std::lock_guard lock(stats_mu_);
-    ++stats_.presolve_reuses;
-  }
-
-  return solve_ilp_on_formulation(*entry.form, options, reuse);
-}
 
 PlanOutcome PlanService::plan_robust(const RematProblem& problem,
                                      double budget_bytes,
@@ -476,10 +371,22 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
                       : "deadline expired before the solve started";
   } else {
     try {
-      auto entry = acquire(problem, budget_bytes, options);
-      std::lock_guard lock(entry->mu);
-      ScheduleResult res =
-          solve_locked(*entry, budget_bytes, options, known_lower_bound);
+      // The service thread budget feeds the in-solve parallel tree search
+      // unless the caller pinned num_threads explicitly (<= 0 covers both 0
+      // and negative requests, which get the service budget, never a path
+      // of their own). Either way the answer is identical (epoch-lockstep
+      // determinism); only wall-clock time changes.
+      IlpSolveOptions solve_options = options;
+      if (solve_options.num_threads <= 0)
+        solve_options.num_threads = opts_.num_threads;
+      {
+        std::lock_guard lock(stats_mu_);
+        ++stats_.queries;
+        ++stats_.formulation_misses;
+        if (options.presolve) ++stats_.presolve_runs;
+      }
+      ScheduleResult res = solve_optimal_ilp(problem, budget_bytes,
+                                             solve_options, known_lower_bound);
       if (res.feasible) {
         out.result = std::move(res);
         certify(out, problem, out.result.best_bound);
@@ -527,10 +434,9 @@ std::vector<PlanOutcome> PlanService::sweep_robust(
   for (double b : budgets) require_finite_budget(b);
   std::vector<PlanOutcome> out(budgets.size());
   if (budgets.empty()) return out;
-  // Descending budget order keeps the reuse effective: the first point
-  // presolves at the largest budget, every later point reuses the
-  // artifacts, and each lands on or under its predecessors' staircase
-  // steps -- served outright or solved against their dual bound.
+  // Descending budget order keeps the staircase effective: each point
+  // lands on or under its predecessors' steps -- served outright or solved
+  // against their dual bound.
   std::vector<size_t> order(budgets.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {

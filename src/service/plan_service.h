@@ -1,34 +1,31 @@
-// Plan service: cached, incremental multi-query planning.
+// Plan service: multi-query planning over the budget staircase.
 //
 // Checkmate's real workloads are not one-shot solves: a Figure-5
 // overhead-vs-budget curve issues ~10 near-identical MILP queries per
 // model, and the Section 6.4 max-batch search issues a feasibility probe
 // per bisection step. The PlanService answers such query streams at full
-// MILP optimality while amortizing everything the queries share:
+// MILP optimality. Every solve builds its formulation fresh and runs the
+// same code as Scheduler::solve_optimal_ilp (presolve included), so a
+// query's work depends only on the problem, the budget, the options and
+// the staircase -- never on what the service was asked before. The one
+// cross-query reuse is the budget staircase:
 //
-//   - formulation reuse: one built IlpFormulation per (problem
-//     fingerprint, formulation shape); a new budget is an in-place
-//     set_budget() rebind of the U-variable upper bounds, not a rebuild;
-//   - presolve reuse: the presolve pass runs once at the largest budget of
-//     interest; smaller budgets clamp the U upper bounds of the cached
-//     reduced LP (sound because every presolve reduction is monotone in
-//     the bounds -- see milp/presolve.h);
-//   - the budget staircase: every proven optimum that carries a schedule
-//     enters a PlanStore (src/store/plan_store.h) -- disk-backed with
-//     store_dir set, memory-only otherwise. A schedule's simulated peak is
+//   - every proven optimum that carries a schedule enters a PlanStore
+//     (src/store/plan_store.h) -- disk-backed with store_dir set,
+//     memory-only otherwise. A schedule's simulated peak is
 //     budget-independent, so a plan proven optimal at budget B with peak
 //     P is provably optimal at every budget in [P, B] (shrinking the
 //     budget can only raise the optimum), and so is a plan at the compute
 //     floor (every operation exactly once) at any budget it fits. Such
-//     queries are served without touching the solver or the cache -- on
-//     the flat regions of the overhead-vs-budget staircase most points
-//     of a descending sweep are free. Where a solve is unavoidable, the
-//     best dual bound proven at a larger budget carries over (same
-//     monotonicity) and branch & bound terminates as soon as any
-//     incumbent meets it, instead of re-proving the bound through the
-//     dual plateau.
+//     queries are served without touching the solver -- on the flat
+//     regions of the overhead-vs-budget staircase most points of a
+//     descending sweep are free;
+//   - where a solve is unavoidable, the best dual bound proven at a larger
+//     budget carries over (same monotonicity) as the solve's
+//     known_lower_bound_cost, and branch & bound terminates as soon as any
+//     incumbent meets it. The bound only stops the same search earlier.
 //
-// Admission control, ahead of the cache:
+// Admission control, ahead of the solve:
 //
 //   - persistence: with store_dir set, the staircase is written
 //     crash-safely and served across process restarts with zero solver
@@ -46,13 +43,13 @@
 //     instead of queueing without bound. Shedding never invents an
 //     infeasibility -- if no heuristic fits, the query takes a slot.
 //
-// Concurrency and determinism: the service is thread-safe. Queries on
-// different cache entries run concurrently on the caller's threads;
-// queries sharing an entry are serialized by its mutex. Every
-// query keeps its own MilpOptions -- including the deterministic
-// max_lp_iterations work limit -- and its own simplex engine, and the
-// in-solve tree search is epoch-lockstep, so a given query sequence gets
-// the same answers whatever the thread budget.
+// Concurrency and determinism: the service is thread-safe, and queries run
+// concurrently on the caller's threads -- queries on the same model too,
+// since each solve owns its formulation. Every query keeps its own
+// MilpOptions -- including the deterministic max_lp_iterations work limit
+// -- and its own simplex engine, and the in-solve tree search is
+// epoch-lockstep, so a given query sequence gets the same answers whatever
+// the thread budget.
 #pragma once
 
 #include <memory>
@@ -63,7 +60,6 @@
 
 #include "core/remat_problem.h"
 #include "core/scheduler.h"
-#include "service/formulation_cache.h"
 #include "store/plan_store.h"
 
 namespace checkmate::service {
@@ -75,8 +71,6 @@ struct PlanServiceOptions {
   // tree search is epoch-lockstep (identical nodes/incumbents for any
   // worker count), so this only moves wall-clock time.
   int num_threads = 0;
-  // Cached formulations (LRU beyond this).
-  size_t max_cache_entries = 16;
   // Directory of the disk-backed plan store; empty keeps the staircase in
   // memory only. Proven optima are written crash-safely and served --
   // content-verified and simulator-validated -- across restarts.
@@ -87,19 +81,21 @@ struct PlanServiceOptions {
 };
 
 struct ServiceStats {
-  // Solves the cache actually answered. A staircase answer (store hit or
-  // shortcut) or a shared single-flight outcome is not a query.
+  // MILP solves run. A staircase answer (store hit or shortcut) or a
+  // shared single-flight outcome is not a query.
   int64_t queries = 0;
-  int64_t formulation_hits = 0;
+  // One formulation build per solve, and one presolve per solve with
+  // IlpSolveOptions::presolve set.
   int64_t formulation_misses = 0;
-  int64_t budget_rebinds = 0;        // set_budget() reuses of a cached build
   int64_t presolve_runs = 0;
-  int64_t presolve_reuses = 0;       // clamped-artifact reuses
-  // Always 0: the service no longer hands incumbents to branch & bound.
-  // Kept because benchmark/plan_bench.cpp reports it.
+  // Always 0: every solve builds and presolves fresh, and the service no
+  // longer hands incumbents to branch & bound. Kept because
+  // benchmark/plan_bench.cpp reports them.
+  int64_t formulation_hits = 0;
+  int64_t budget_rebinds = 0;
+  int64_t presolve_reuses = 0;
   int64_t warm_starts_injected = 0;
   int64_t warm_start_shortcuts = 0;  // staircase answers, no store_dir
-  int64_t evictions = 0;
   // Admission-layer counters; the store ones move only with a working
   // store_dir.
   int64_t store_hits = 0;            // staircase answers from the disk store
@@ -152,8 +148,8 @@ class PlanService {
   PlanService(const PlanService&) = delete;
   PlanService& operator=(const PlanService&) = delete;
 
-  // One query through the admission layer and the cache, down the
-  // fallback ladder of PlanProvenance. A query whose MILP completes returns
+  // One query through the admission layer, down the fallback ladder of
+  // PlanProvenance. A query whose MILP completes returns
   // the proven optimum -- the same objective as Scheduler::solve_optimal_ilp
   // with the same options; a truncated search (deadline, work limits,
   // cancellation) returns its best incumbent with the true gap; a search
@@ -165,18 +161,16 @@ class PlanService {
   PlanOutcome plan_robust(const RematProblem& problem, double budget_bytes,
                           const IlpSolveOptions& options = {});
   // Budget sweep over one model (the Figure 5 workload): plan_robust per
-  // point in descending budget order, so each point lands on the previous
-  // point's cache entry, presolve artifacts and staircase step. The
-  // remaining deadline is re-apportioned across the points so one slow
-  // point cannot starve the rest; results come back in the caller's order.
-  // Any non-finite budget throws, as in plan_robust, before the first point.
+  // point in descending budget order, so each point lands on or under the
+  // previous points' staircase steps. The remaining deadline is
+  // re-apportioned across the points so one slow point cannot starve the
+  // rest; results come back in the caller's order. Any non-finite budget
+  // throws, as in plan_robust, before the first point.
   std::vector<PlanOutcome> sweep_robust(const RematProblem& problem,
                                         const std::vector<double>& budgets,
                                         const IlpSolveOptions& options = {});
 
   ServiceStats stats() const;
-  size_t cache_size() const { return cache_.size(); }
-  void clear_cache() { cache_.clear(); }  // formulations only
   // The disk-backed plan store, or nullptr unless one is open on store_dir.
   store::PlanStore* plan_store() const {
     return store_->directory().empty() ? nullptr : store_.get();
@@ -189,21 +183,10 @@ class PlanService {
   // collision solves solo instead of sharing a stranger's plan.
   struct Flight;
 
-  std::shared_ptr<CacheEntry> acquire(const RematProblem& problem,
-                                      double reference_budget_bytes,
-                                      const IlpSolveOptions& options);
-  // (Re)runs presolve at reference_budget_bytes when the cached artifacts
-  // do not already cover it. Entry mutex must be held.
-  void ensure_presolve(CacheEntry& entry, double reference_budget_bytes,
-                       const IlpSolveOptions& options);
-  // Solves one query against a locked entry. `known_lower_bound` (-inf
-  // when absent) is a proven lower bound on this query's optimum -- the
-  // staircase's dual bound -- handed to the solve's termination test.
-  ScheduleResult solve_locked(CacheEntry& entry, double budget_bytes,
-                              const IlpSolveOptions& options,
-                              double known_lower_bound);
   // The fallback ladder behind plan_robust, after the floor check and the
   // admission layer (store lookup, single-flight, overload shedding).
+  // `known_lower_bound` (-inf when absent) is the staircase's proven lower
+  // bound on this query's optimum, handed to the solve's termination test.
   PlanOutcome plan_robust_ladder(const RematProblem& problem,
                                  double budget_bytes,
                                  const IlpSolveOptions& options,
@@ -213,7 +196,6 @@ class PlanService {
                              const IlpSolveOptions& options);
 
   PlanServiceOptions opts_;
-  FormulationCache cache_;
 
   // The budget staircase: on store_dir when it opens, else memory-only.
   std::unique_ptr<store::PlanStore> store_;

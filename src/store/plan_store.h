@@ -31,9 +31,8 @@
 //     recovery is a cache miss, never a crash and never a wrong plan;
 //   - validation-before-serve: a record is only served after (a) its
 //     stored canonical problem blob compares byte-equal to the query's
-//     (the 64-bit fingerprint in formulation_cache.h only routes lookups;
-//     here at the disk boundary full content equality is a hard
-//     guarantee), and (b) the simulator re-validates the schedule against
+//     (the 64-bit fingerprint only routes lookups; here at the disk
+//     boundary full content equality is a hard guarantee), and (b) the simulator re-validates the schedule against
 //     the query budget and reproduces the recorded cost. A bit-flipped
 //     record that slips past the checksum still degrades to a miss.
 //

@@ -140,7 +140,7 @@ TEST(CutSeparation, FixedVariablesShrinkTheKnapsack) {
 TEST(CutSeparation, CapacityReadFromLiveUpperBound) {
   // The same fractional point separates nothing at a loose budget and a
   // cover at a tight one -- capacity comes from the capacity column's
-  // CURRENT upper bound (what set_budget rebinds).
+  // CURRENT upper bound (what presolve and root fixings tighten).
   const std::vector<double> w{2.0, 2.0, 2.0};
   KnapsackFixture fx(w, 20.0);
   const auto x = std::vector<double>{0.85, 0.85, 0.85};

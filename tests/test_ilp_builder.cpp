@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <vector>
 
 #include "lp/simplex.h"
 #include "milp/milp.h"
@@ -10,6 +11,18 @@
 
 namespace checkmate {
 namespace {
+
+// The budget in the LP's memory units: coefficients are in budget percent.
+constexpr double kScaledBudget = 100.0;
+
+// Every U column of the formulation (the columns the budget bounds).
+std::vector<int> u_columns(const IlpFormulation& f, int n) {
+  std::vector<int> cols;
+  for (int t = 0; t < n; ++t)
+    for (int k = 0; k < n; ++k)
+      if (f.u_var(t, k) >= 0) cols.push_back(f.u_var(t, k));
+  return cols;
+}
 
 milp::MilpOptions bounded_milp(double time_limit_sec = 30.0) {
   milp::MilpOptions opts;
@@ -34,13 +47,6 @@ TEST(IlpBuilder, RejectsNonFiniteBudget) {
     opts.budget_bytes = b;
     EXPECT_THROW(IlpFormulation(p, opts), std::invalid_argument) << b;
   }
-  opts.budget_bytes = 4.0;
-  IlpFormulation f(p, opts);
-  EXPECT_THROW(f.set_budget(std::numeric_limits<double>::infinity()),
-               std::invalid_argument);
-  EXPECT_THROW(f.set_budget(std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-  EXPECT_EQ(f.options().budget_bytes, 4.0);
 }
 
 TEST(IlpBuilder, PartitionedVariableTriangularity) {
@@ -228,10 +234,10 @@ TEST(IlpBuilder, LpRelaxationLowerBoundsIlp) {
   EXPECT_LE(rel.objective, ilp.objective + 1e-7);
 }
 
-TEST(IlpBuilder, CutStructureCapacitiesFollowSetBudget) {
+TEST(IlpBuilder, CutStructureCapacitiesFollowUUpperBounds) {
   // The knapsack view binds capacities to the U columns' upper bounds, so
-  // a set_budget() rebind re-targets every knapsack without rebuilding the
-  // structure.
+  // a clamp of those bounds (presolve, root fixings) re-targets every
+  // knapsack without rebuilding the structure.
   auto p = RematProblem::unit_training_chain(5);
   IlpBuildOptions opts;
   opts.budget_bytes = 8.0;
@@ -240,115 +246,18 @@ TEST(IlpBuilder, CutStructureCapacitiesFollowSetBudget) {
   ASSERT_FALSE(structure.empty());
   for (const auto& row : structure.knapsacks) {
     ASSERT_GE(row.capacity_var, 0);
-    EXPECT_DOUBLE_EQ(f.lp().ub[row.capacity_var], f.scale_budget(8.0));
+    EXPECT_DOUBLE_EQ(f.lp().ub[row.capacity_var], kScaledBudget);
     for (const auto& item : row.items) {
       EXPECT_GE(item.var, 0);
       EXPECT_GT(item.weight, 0.0);
       EXPECT_TRUE(f.lp().is_integer[item.var]);
     }
   }
-  f.set_budget(6.0);
+  lp::LinearProgram clamped = f.lp();
+  ASSERT_TRUE(milp::clamp_upper_bounds(clamped, u_columns(f, p.size()),
+                                       0.75 * kScaledBudget));
   for (const auto& row : structure.knapsacks)
-    EXPECT_DOUBLE_EQ(f.lp().ub[row.capacity_var], f.scale_budget(6.0));
-}
-
-TEST(IlpBuilder, SetBudgetRebindWithAppendedCutRows) {
-  // A working LP that carries appended cut rows (the branch & cut search
-  // grows its copy; the plan service's cached presolve artifact can grow
-  // the same way) must stay a pure U-upper-bound rebind under
-  // set_budget(): the cut rows keep their coefficients, u_var_indices
-  // stays valid, and a solve on the rebound LP matches a fresh build at
-  // the new budget with the same cuts appended.
-  auto p = RematProblem::unit_training_chain(6);
-  IlpBuildOptions opts;
-  opts.budget_bytes = 9.0;
-  IlpFormulation f(p, opts);
-  const milp::FormulationStructure structure = f.cut_structure();
-
-  // Separate real cuts against the LP relaxation at the large budget and
-  // append them to the formulation's working LP.
-  auto rel = lp::solve_lp(f.lp());
-  ASSERT_EQ(rel.status, lp::LpStatus::kOptimal);
-  f.set_budget(5.0);  // tighten FIRST so the relaxation point separates
-  milp::SeparationOptions sep;
-  std::vector<milp::Cut> cuts;
-  milp::separate_knapsack_cuts(structure, f.lp(), rel.x, sep, &cuts);
-  ASSERT_FALSE(cuts.empty());  // the scenario must exercise real rows
-  const int rows_before = f.lp().num_rows();
-  for (const milp::Cut& c : cuts) f.mutable_lp().add_le(c.terms, c.rhs);
-  ASSERT_EQ(f.lp().num_rows(),
-            rows_before + static_cast<int>(cuts.size()));
-
-  // Rebind again across the appended rows: only U upper bounds may move.
-  f.set_budget(7.0);
-  for (int var : f.u_var_indices())
-    EXPECT_DOUBLE_EQ(f.lp().ub[var], f.scale_budget(7.0));
-
-  milp::MilpOptions mopts = bounded_milp();
-  mopts.branch_priority = f.branch_priorities();
-  mopts.cut_structure = &structure;
-  auto with_rows = milp::solve_milp(f.lp(), mopts);
-
-  IlpBuildOptions fresh_opts;
-  fresh_opts.budget_bytes = 7.0;
-  IlpFormulation fresh(p, fresh_opts);
-  for (const milp::Cut& c : cuts) fresh.mutable_lp().add_le(c.terms, c.rhs);
-  milp::MilpOptions fresh_mopts = bounded_milp();
-  fresh_mopts.branch_priority = fresh.branch_priorities();
-  const milp::FormulationStructure fresh_structure = fresh.cut_structure();
-  fresh_mopts.cut_structure = &fresh_structure;
-  auto cold = milp::solve_milp(fresh.lp(), fresh_mopts);
-
-  ASSERT_EQ(with_rows.status, milp::MilpStatus::kOptimal);
-  ASSERT_EQ(cold.status, milp::MilpStatus::kOptimal);
-  EXPECT_NEAR(with_rows.objective, cold.objective, 1e-6);
-}
-
-TEST(IlpBuilder, AppendedCutRowsSurvivePresolveClampReuse) {
-  // The plan service reuses presolve artifacts across budgets by clamping
-  // the U upper bounds. Cut rows appended to such an artifact must not
-  // desync the clamp path: solving the clamped artifact with cuts equals
-  // a cold solve at the clamped budget.
-  auto p = RematProblem::unit_training_chain(6);
-  IlpBuildOptions opts;
-  opts.budget_bytes = 9.0;
-  IlpFormulation f(p, opts);
-  const milp::FormulationStructure structure = f.cut_structure();
-
-  milp::PresolveResult pre = milp::presolve(f.lp());
-  ASSERT_FALSE(pre.stats.proven_infeasible);
-  auto rel = lp::solve_lp(pre.lp);
-  ASSERT_EQ(rel.status, lp::LpStatus::kOptimal);
-
-  // Clamp to a smaller budget, then separate + append cuts against the
-  // clamped artifact (capacities read the clamped bounds).
-  ASSERT_TRUE(milp::clamp_upper_bounds(pre.lp, f.u_var_indices(),
-                                       f.scale_budget(5.0)));
-  milp::SeparationOptions sep;
-  std::vector<milp::Cut> cuts;
-  milp::separate_knapsack_cuts(structure, pre.lp, rel.x, sep, &cuts);
-  ASSERT_FALSE(cuts.empty());  // the scenario must exercise real rows
-  for (const milp::Cut& c : cuts) pre.lp.add_le(c.terms, c.rhs);
-
-  milp::MilpOptions mopts = bounded_milp();
-  mopts.presolve = false;  // artifact already presolved
-  mopts.branch_priority = f.branch_priorities();
-  mopts.cut_structure = &structure;
-  auto clamped = milp::solve_milp(pre.lp, mopts);
-
-  IlpBuildOptions cold_opts;
-  cold_opts.budget_bytes = 5.0;
-  IlpFormulation cold_form(p, cold_opts);
-  milp::MilpOptions cold_mopts = bounded_milp();
-  cold_mopts.branch_priority = cold_form.branch_priorities();
-  const milp::FormulationStructure cold_structure =
-      cold_form.cut_structure();
-  cold_mopts.cut_structure = &cold_structure;
-  auto cold = milp::solve_milp(cold_form.lp(), cold_mopts);
-
-  ASSERT_EQ(clamped.status, milp::MilpStatus::kOptimal);
-  ASSERT_EQ(cold.status, milp::MilpStatus::kOptimal);
-  EXPECT_NEAR(clamped.objective, cold.objective, 1e-6);
+    EXPECT_DOUBLE_EQ(clamped.ub[row.capacity_var], 0.75 * kScaledBudget);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "core/scheduler.h"
 #include "lp/simplex.h"
 #include "milp/milp.h"
+#include "milp/presolve.h"
 #include "model/autodiff.h"
 #include "model/zoo.h"
 
@@ -187,41 +188,10 @@ TEST(IntervalFormulation, RequiresPartitionedForm) {
   EXPECT_THROW(IlpFormulation(p, opts), std::invalid_argument);
 }
 
-TEST(IntervalFormulation, SetBudgetIsPureBoundRebind) {
-  // The budget must enter the interval LP only through the U upper bounds:
-  // a rebind followed by a solve matches a fresh build at the new budget.
-  auto p = RematProblem::unit_training_chain(6);
-  IlpBuildOptions opts;
-  opts.budget_bytes = 9.0;
-  opts.formulation = IlpFormulationKind::kInterval;
-  IlpFormulation f(p, opts);
-  f.set_budget(5.0);
-  for (int var : f.u_var_indices())
-    EXPECT_DOUBLE_EQ(f.lp().ub[var], f.scale_budget(5.0));
-
-  milp::MilpOptions mopts;
-  mopts.time_limit_sec = 60.0;
-  mopts.branch_priority = f.branch_priorities();
-  auto rebound = milp::solve_milp(f.lp(), mopts);
-
-  IlpBuildOptions fresh_opts = opts;
-  fresh_opts.budget_bytes = 5.0;
-  IlpFormulation fresh(p, fresh_opts);
-  milp::MilpOptions fresh_mopts;
-  fresh_mopts.time_limit_sec = 60.0;
-  fresh_mopts.branch_priority = fresh.branch_priorities();
-  auto cold = milp::solve_milp(fresh.lp(), fresh_mopts);
-
-  ASSERT_EQ(rebound.status, milp::MilpStatus::kOptimal);
-  ASSERT_EQ(cold.status, milp::MilpStatus::kOptimal);
-  EXPECT_NEAR(f.unscale_cost(rebound.objective),
-              fresh.unscale_cost(cold.objective), 1e-9);
-}
-
 TEST(IntervalFormulation, CutStructureKnapsacksAreValid) {
   // Every knapsack the interval backend hands the separators must target a
-  // real U column and integer items, and capacities must follow a
-  // set_budget rebind (the separators read ub(capacity_var) live).
+  // real U column and integer items, and capacities must follow a clamp of
+  // the U upper bounds (the separators read ub(capacity_var) live).
   auto p = RematProblem::from_dnn(
       model::make_training_graph(model::zoo::mobilenet_v1(2, 64)),
       model::CostMetric::kProfiledTimeUs);
@@ -233,18 +203,21 @@ TEST(IntervalFormulation, CutStructureKnapsacksAreValid) {
   ASSERT_FALSE(structure.empty());
   for (const auto& row : structure.knapsacks) {
     ASSERT_GE(row.capacity_var, 0);
-    EXPECT_DOUBLE_EQ(f.lp().ub[row.capacity_var],
-                     f.scale_budget(opts.budget_bytes));
+    // The budget in the LP's memory units (budget percent).
+    EXPECT_DOUBLE_EQ(f.lp().ub[row.capacity_var], 100.0);
     for (const auto& item : row.items) {
       ASSERT_GE(item.var, 0);
       EXPECT_GT(item.weight, 0.0);
       EXPECT_TRUE(f.lp().is_integer[item.var]);
     }
   }
-  f.set_budget(0.5 * p.total_memory());
+  std::vector<int> u_cols;
+  for (int t = 0; t < p.size(); ++t)
+    if (f.u_var(t, 0) >= 0) u_cols.push_back(f.u_var(t, 0));
+  lp::LinearProgram clamped = f.lp();
+  ASSERT_TRUE(milp::clamp_upper_bounds(clamped, u_cols, 80.0));
   for (const auto& row : structure.knapsacks)
-    EXPECT_DOUBLE_EQ(f.lp().ub[row.capacity_var],
-                     f.scale_budget(0.5 * p.total_memory()));
+    EXPECT_DOUBLE_EQ(clamped.ub[row.capacity_var], 80.0);
 }
 
 }  // namespace

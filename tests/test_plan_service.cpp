@@ -1,19 +1,18 @@
-// Plan service: problem fingerprints, formulation-cache budget rebinds,
-// presolve-artifact clamping, the in-memory budget staircase and the
-// thread budget.
+// Plan service: problem fingerprints, fresh builds for every solve,
+// history independence, concurrent queries on one model, the in-memory
+// budget staircase and the thread budget.
 #include "service/plan_service.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
-#include "core/ilp_builder.h"
 #include "core/remat_problem.h"
 #include "core/scheduler.h"
 #include "milp/milp.h"
-#include "milp/presolve.h"
 
 namespace checkmate {
 namespace {
@@ -52,67 +51,13 @@ TEST(Fingerprint, CanonicalOverContentNotNames) {
   EXPECT_NE(a.fingerprint(), rewired.fingerprint());
 }
 
-TEST(FormulationRebind, SetBudgetMovesOnlyUVariableBounds) {
-  auto p = RematProblem::unit_training_chain(4);
-  IlpBuildOptions build;
-  build.budget_bytes = 8.0;
-  IlpFormulation rebound(p, build);
-  rebound.set_budget(5.0);
-
-  IlpBuildOptions fresh_build;
-  fresh_build.budget_bytes = 5.0;
-  IlpFormulation fresh(p, fresh_build);
-
-  // Same variable space; non-U bounds untouched by the rebind.
-  ASSERT_EQ(rebound.lp().num_vars(), fresh.lp().num_vars());
-  const auto& u_vars = rebound.u_var_indices();
-  EXPECT_FALSE(u_vars.empty());
-  for (int j = 0; j < rebound.lp().num_vars(); ++j) {
-    if (std::find(u_vars.begin(), u_vars.end(), j) != u_vars.end()) {
-      EXPECT_DOUBLE_EQ(rebound.lp().ub[j], rebound.scale_budget(5.0));
-    } else {
-      EXPECT_DOUBLE_EQ(rebound.lp().lb[j], fresh.lp().lb[j]);
-      EXPECT_DOUBLE_EQ(rebound.lp().ub[j], fresh.lp().ub[j]);
-    }
-  }
-  EXPECT_DOUBLE_EQ(rebound.options().budget_bytes, 5.0);
-}
-
-TEST(FormulationRebind, RebindEquivalentToFreshBuild) {
-  // The scaling differs (frozen at construction) but the feasible set and
-  // optimum must be identical: solve both MILPs and compare unscaled cost.
-  auto p = RematProblem::unit_training_chain(5);
-  IlpBuildOptions build;
-  build.budget_bytes = 10.0;
-  IlpFormulation rebound(p, build);
-  rebound.set_budget(6.0);
-
-  IlpBuildOptions fresh_build;
-  fresh_build.budget_bytes = 6.0;
-  IlpFormulation fresh(p, fresh_build);
-
-  milp::MilpOptions mopts;
-  mopts.time_limit_sec = 30.0;
-  const auto res_rebound = milp::solve_milp(rebound.lp(), mopts);
-  const auto res_fresh = milp::solve_milp(fresh.lp(), mopts);
-  ASSERT_EQ(res_rebound.status, milp::MilpStatus::kOptimal);
-  ASSERT_EQ(res_fresh.status, milp::MilpStatus::kOptimal);
-  EXPECT_NEAR(rebound.unscale_cost(res_rebound.objective),
-              fresh.unscale_cost(res_fresh.objective), 1e-6);
-}
-
-TEST(PresolveRebind, ClampUpperBounds) {
-  lp::LinearProgram prog;
-  prog.add_var(0.0, 10.0, 1.0);
-  prog.add_var(2.0, 10.0, 1.0);
-  prog.add_var(0.0, 1.0, 1.0);
-  const int vars[] = {0, 1};
-  EXPECT_TRUE(milp::clamp_upper_bounds(prog, vars, 4.0));
-  EXPECT_DOUBLE_EQ(prog.ub[0], 4.0);
-  EXPECT_DOUBLE_EQ(prog.ub[1], 4.0);
-  EXPECT_DOUBLE_EQ(prog.ub[2], 1.0);  // not listed: untouched
-  // Clamping below a lower bound proves infeasibility.
-  EXPECT_FALSE(milp::clamp_upper_bounds(prog, vars, 1.0));
+// Every solve builds and presolves fresh; nothing else is counted.
+void expect_fresh_builds(const service::ServiceStats& st) {
+  EXPECT_EQ(st.formulation_misses, st.queries);
+  EXPECT_EQ(st.presolve_runs, st.queries);
+  EXPECT_EQ(st.formulation_hits, 0);
+  EXPECT_EQ(st.budget_rebinds, 0);
+  EXPECT_EQ(st.presolve_reuses, 0);
 }
 
 TEST(PlanService, SweepMatchesColdSolvesAndIsMonotone) {
@@ -143,9 +88,8 @@ TEST(PlanService, SweepMatchesColdSolvesAndIsMonotone) {
   // The same four answers, each either solved or served by the staircase.
   const auto st = svc.stats();
   EXPECT_EQ(st.queries + st.warm_start_shortcuts, 4);
-  EXPECT_EQ(st.formulation_misses, 1);
-  EXPECT_EQ(st.presolve_runs, 1);  // once, at the largest budget
-  EXPECT_GE(st.presolve_reuses + st.warm_start_shortcuts, 3);
+  EXPECT_GE(st.queries, 1);
+  expect_fresh_builds(st);
 }
 
 TEST(PlanService, SweepResultsComeBackInCallerOrder) {
@@ -162,7 +106,7 @@ TEST(PlanService, SweepResultsComeBackInCallerOrder) {
   }
 }
 
-TEST(PlanService, RepeatedPlansHitTheFormulationCache) {
+TEST(PlanService, EverySolveBuildsFresh) {
   auto p = RematProblem::unit_training_chain(5);
   service::PlanService svc;
   const auto a = svc.plan_robust(p, 12.0, fast_opts()).result;
@@ -172,24 +116,25 @@ TEST(PlanService, RepeatedPlansHitTheFormulationCache) {
   EXPECT_GE(b.cost, a.cost);
 
   const auto st = svc.stats();
-  EXPECT_EQ(st.formulation_misses, 1);
-  EXPECT_EQ(st.formulation_hits, 1);
-  EXPECT_EQ(svc.cache_size(), 1u);
+  EXPECT_EQ(st.queries, 2);
+  expect_fresh_builds(st);
 
   Scheduler sched(p);
   EXPECT_NEAR(b.cost, sched.solve_optimal_ilp(6.0, fast_opts()).cost, 1e-6);
 }
 
-TEST(PlanService, CostCapIsPartOfTheCacheKey) {
+TEST(PlanService, CostCapIsPartOfTheStoreShape) {
   auto p = RematProblem::unit_training_chain(4);
   service::PlanService svc;
   IlpSolveOptions capped = fast_opts();
   capped.cost_cap = 2.0 * p.forward_cost() + p.backward_cost();
   (void)svc.plan_robust(p, 9.0, fast_opts());
   (void)svc.plan_robust(p, 9.0, capped);
+  // The uncapped optimum is not served to the capped query: it solves.
   const auto st = svc.stats();
-  EXPECT_EQ(st.formulation_misses, 2);
-  EXPECT_EQ(st.formulation_hits, 0);
+  EXPECT_EQ(st.queries, 2);
+  EXPECT_EQ(st.warm_start_shortcuts, 0);
+  expect_fresh_builds(st);
 }
 
 TEST(PlanService, BelowFloorBudgetIsInfeasibleWithoutABuild) {
@@ -199,7 +144,8 @@ TEST(PlanService, BelowFloorBudgetIsInfeasibleWithoutABuild) {
   EXPECT_EQ(out.provenance, service::PlanProvenance::kInfeasible);
   EXPECT_FALSE(out.result.feasible);
   EXPECT_EQ(out.result.milp_status, milp::MilpStatus::kInfeasible);
-  EXPECT_EQ(svc.cache_size(), 0u);
+  EXPECT_EQ(svc.stats().queries, 0);
+  EXPECT_EQ(svc.stats().formulation_misses, 0);
 }
 
 TEST(PlanService, GenerousBudgetsShareOneStaircaseStep) {
@@ -219,16 +165,14 @@ TEST(PlanService, GenerousBudgetsShareOneStaircaseStep) {
   EXPECT_GE(svc.stats().warm_start_shortcuts, 3);
 }
 
-TEST(PlanService, LruEvictionKeepsAnswersCorrect) {
+TEST(PlanService, StaircaseServesRepeatsAcrossModels) {
   const auto pa = RematProblem::unit_training_chain(4);
   const auto pb = RematProblem::unit_training_chain(5);
-  service::PlanServiceOptions tiny;
-  tiny.max_cache_entries = 1;
-  service::PlanService svc(tiny);
+  service::PlanService svc;
   const auto a1 = svc.plan_robust(pa, 9.0, fast_opts()).result;
   const auto b1 = svc.plan_robust(pb, 11.0, fast_opts()).result;
-  // pa's formulation is evicted, but its answer is not: the staircase
-  // serves the repeat with zero solver work.
+  // A solve of another model in between does not lose pa's answer: the
+  // staircase serves the repeat with zero solver work.
   const auto a2 = svc.plan_robust(pa, 9.0, fast_opts()).result;
   ASSERT_EQ(a1.milp_status, milp::MilpStatus::kOptimal);
   ASSERT_EQ(b1.milp_status, milp::MilpStatus::kOptimal);
@@ -238,7 +182,7 @@ TEST(PlanService, LruEvictionKeepsAnswersCorrect) {
   EXPECT_EQ(svc.stats().queries, 2);
   EXPECT_EQ(svc.stats().formulation_misses, 2);
 
-  // Below a1's peak the staircase cannot serve: pa is rebuilt and solved.
+  // Below a1's peak the staircase cannot serve: pa is built and solved.
   const double tight = pa.memory_floor();
   ASSERT_LT(tight, a1.peak_memory);
   const auto a3 = svc.plan_robust(pa, tight, fast_opts()).result;
@@ -247,9 +191,69 @@ TEST(PlanService, LruEvictionKeepsAnswersCorrect) {
               1e-6);
   const auto st = svc.stats();
   EXPECT_EQ(st.queries, 3);
-  EXPECT_EQ(st.formulation_misses, 3);
-  EXPECT_GE(st.evictions, 2);
-  EXPECT_EQ(svc.cache_size(), 1u);
+  expect_fresh_builds(st);
+}
+
+TEST(PlanService, SolveWorkDoesNotDependOnQueryHistory) {
+  // A Figure-5 descent through one service, from the compute-everything
+  // budget down to the structural floor. Every solved point must return the
+  // cold Scheduler cost with no more nodes or pivots than the cold solve:
+  // the staircase's carried dual bound may only stop the same search
+  // earlier, and nothing else an earlier query left behind may steer it.
+  const auto p = RematProblem::unit_training_chain(7);
+  const Scheduler sched(p);
+  const double lo = p.memory_floor();
+  const double hi = p.total_memory();
+  service::PlanService svc;
+  int solved = 0;
+  for (int i = 0; i < 12; ++i) {
+    const double budget = hi - (hi - lo) * i / 11.0;
+    const int64_t queries_before = svc.stats().queries;
+    const auto out = svc.plan_robust(p, budget, fast_opts());
+    ASSERT_EQ(out.provenance, service::PlanProvenance::kProvenOptimal)
+        << "budget " << budget << ": " << out.why_degraded;
+    if (svc.stats().queries == queries_before) continue;  // staircase answer
+    ++solved;
+    const auto cold = sched.solve_optimal_ilp(budget, fast_opts());
+    ASSERT_EQ(cold.milp_status, milp::MilpStatus::kOptimal);
+    EXPECT_EQ(out.result.cost, cold.cost) << "budget " << budget;
+    EXPECT_LE(out.result.nodes, cold.nodes) << "budget " << budget;
+    EXPECT_LE(out.result.lp_iterations, cold.lp_iterations)
+        << "budget " << budget;
+  }
+  EXPECT_GE(solved, 5);
+  expect_fresh_builds(svc.stats());
+}
+
+TEST(PlanService, ConcurrentQueriesOnOneModelMatchColdSolves) {
+  // Four clients ask one model at four budgets with pairwise distinct
+  // optima, so no answer can serve another from the staircase: all four
+  // solve, concurrently, whatever order they finish in.
+  const auto p = RematProblem::unit_training_chain(7);
+  const std::vector<double> budgets = {5.0, 6.0, 7.0, 8.0};
+  service::PlanServiceOptions solo;
+  solo.num_threads = 1;
+  service::PlanService svc(solo);
+  std::vector<service::PlanOutcome> outs(budgets.size());
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < budgets.size(); ++i)
+    clients.emplace_back([&, i] {
+      outs[i] = svc.plan_robust(p, budgets[i], fast_opts());
+    });
+  for (auto& c : clients) c.join();
+
+  const Scheduler sched(p);
+  for (size_t i = 0; i < budgets.size(); ++i) {
+    const auto cold = sched.solve_optimal_ilp(budgets[i], fast_opts());
+    ASSERT_EQ(cold.milp_status, milp::MilpStatus::kOptimal);
+    ASSERT_EQ(outs[i].provenance, service::PlanProvenance::kProvenOptimal)
+        << outs[i].why_degraded;
+    EXPECT_EQ(outs[i].result.cost, cold.cost) << "budget " << budgets[i];
+  }
+  const auto st = svc.stats();
+  EXPECT_EQ(st.queries, 4);
+  EXPECT_EQ(st.warm_start_shortcuts, 0);
+  expect_fresh_builds(st);
 }
 
 TEST(PlanService, StaircaseKeepsEveryStepNotJustTheLastSolve) {
@@ -276,12 +280,11 @@ TEST(PlanService, StaircaseKeepsEveryStepNotJustTheLastSolve) {
   EXPECT_EQ(svc.plan_store(), nullptr);
 }
 
-TEST(PlanService, NonFiniteBudgetThrowsAndLeavesTheCacheClean) {
+TEST(PlanService, NonFiniteBudgetThrowsAndLeavesTheServiceClean) {
   // An infinite budget would build a formulation with every memory
-  // coefficient zeroed, and the cached entry would then fail every later
-  // finite query on the same problem; a NaN budget would "prove" a plan
-  // optimal. Both are rejected before any flight, store or cache is
-  // touched, and a finite query on the same service still solves.
+  // coefficient zeroed; a NaN budget would "prove" a plan optimal. Both are
+  // rejected before any flight or store is touched, and a finite query on
+  // the same service still solves.
   const auto p = RematProblem::unit_training_chain(4);
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -292,7 +295,7 @@ TEST(PlanService, NonFiniteBudgetThrowsAndLeavesTheCacheClean) {
   EXPECT_THROW(svc.sweep_robust(p, {6.0, nan}, fast_opts()),
                std::invalid_argument);
   EXPECT_EQ(svc.stats().queries, 0);
-  EXPECT_EQ(svc.cache_size(), 0u);
+  EXPECT_EQ(svc.stats().formulation_misses, 0);
   const auto out = svc.plan_robust(p, 5.0, fast_opts());
   EXPECT_EQ(out.provenance, service::PlanProvenance::kProvenOptimal)
       << out.why_degraded;

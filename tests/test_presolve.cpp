@@ -135,6 +135,20 @@ TEST(Presolve, ForcingRowFixesAllParticipants) {
   EXPECT_EQ(res.stats.vars_fixed, 2);
 }
 
+TEST(Presolve, ClampUpperBounds) {
+  LinearProgram prog;
+  prog.add_var(0.0, 10.0, 1.0);
+  prog.add_var(2.0, 10.0, 1.0);
+  prog.add_var(0.0, 1.0, 1.0);
+  const int vars[] = {0, 1};
+  EXPECT_TRUE(clamp_upper_bounds(prog, vars, 4.0));
+  EXPECT_DOUBLE_EQ(prog.ub[0], 4.0);
+  EXPECT_DOUBLE_EQ(prog.ub[1], 4.0);
+  EXPECT_DOUBLE_EQ(prog.ub[2], 1.0);  // not listed: untouched
+  // Clamping below a lower bound proves infeasibility.
+  EXPECT_FALSE(clamp_upper_bounds(prog, vars, 1.0));
+}
+
 TEST(Presolve, ChecksmateFormulationShrinksButKeepsOptimum) {
   // The partitioned Checkmate ILP carries structurally-forced variables
   // (diagonal R fixings, topology-killed S entries). Presolve must find a

@@ -265,8 +265,7 @@ TEST(PlanRobust, Vgg16MidBudgetDeadlineOvershootBounded) {
 }
 
 // Deadline-free runs keep the bit-identity contract: the robust entry
-// point, with its cached formulation and presolve artifacts, must not
-// perturb the deterministic search of a cold solve.
+// point must not perturb the deterministic search of a cold solve.
 TEST(PlanRobust, DeadlineFreeMatchesColdSolve) {
   auto p = RematProblem::unit_training_chain(8);
   service::PlanService svc;
@@ -284,6 +283,9 @@ TEST(PlanRobust, DeadlineFreeMatchesColdSolve) {
 // query whose search is truncated before it finds a plan must not fall
 // back to a heuristic schedule above the cap. At the compute-floor cap and
 // a budget below checkpoint-all's peak, every baseline busts the cap.
+// Presolve is off so the one-pivot search ends without a proof; with it
+// on, presolve proves the capped dense instance infeasible, and the
+// service returns the same typed proof as the Scheduler.
 TEST(PlanRobust, HeuristicFallbackRespectsTheCostCap) {
   auto p = RematProblem::unit_training_chain(8);
   Scheduler sched(p);
@@ -296,6 +298,7 @@ TEST(PlanRobust, HeuristicFallbackRespectsTheCostCap) {
   IlpSolveOptions opts;
   opts.cost_cap = p.total_cost_all_nodes();
   opts.max_lp_iterations = 1;
+  opts.presolve = false;
   service::PlanService svc;
   const auto out = svc.plan_robust(p, budget, opts);
   if (out.result.feasible) {
@@ -305,6 +308,14 @@ TEST(PlanRobust, HeuristicFallbackRespectsTheCostCap) {
   // Below the cap nothing fits, and the search proved nothing.
   EXPECT_EQ(out.provenance, service::PlanProvenance::kInfeasible);
   EXPECT_FALSE(out.result.proven_infeasible);
+
+  opts.presolve = true;
+  const auto proof = svc.plan_robust(p, budget, opts);
+  const auto ref = sched.solve_optimal_ilp(budget, opts);
+  ASSERT_TRUE(ref.proven_infeasible) << ref.message;
+  EXPECT_EQ(proof.provenance, service::PlanProvenance::kInfeasible);
+  EXPECT_TRUE(proof.result.proven_infeasible);
+  EXPECT_EQ(proof.result.message, ref.message);
 }
 
 }  // namespace

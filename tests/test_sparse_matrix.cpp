@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 #include <vector>
@@ -45,6 +46,57 @@ TEST(SparseMatrix, RowsSortedWithinColumn) {
   SparseMatrix m(6, 1, t);
   auto rows = m.col_rows(0);
   EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+}
+
+TEST(SparseMatrix, ShuffledTripletsGiveIdenticalArrays) {
+  // The CSC and CSR arrays depend only on the entries, not on the order
+  // the (duplicate-free) triplets arrive in.
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> val(-4.0, 4.0);
+  std::vector<Triplet> t;
+  for (int i = 0; i < 40; ++i)
+    for (int j = 0; j < 30; ++j)
+      if ((i * 7 + j * 3) % 5 == 0) t.push_back({i, j, val(rng)});
+  const SparseMatrix ref(40, 30, t);
+  for (int trial = 0; trial < 5; ++trial) {
+    std::shuffle(t.begin(), t.end(), rng);
+    const SparseMatrix m(40, 30, t);
+    ASSERT_EQ(m.nnz(), ref.nnz());
+    for (int j = 0; j < 30; ++j) {
+      EXPECT_TRUE(std::ranges::equal(m.col_rows(j), ref.col_rows(j)));
+      EXPECT_TRUE(std::ranges::equal(m.col_values(j), ref.col_values(j)));
+    }
+    for (int i = 0; i < 40; ++i) {
+      EXPECT_TRUE(std::ranges::equal(m.row_cols(i), ref.row_cols(i)));
+      EXPECT_TRUE(std::ranges::equal(m.row_values(i), ref.row_values(i)));
+    }
+  }
+}
+
+TEST(SparseMatrix, DuplicatesSummedInInputOrder) {
+  // 1e16 + 1 rounds back to 1e16, so the order of the three summands
+  // decides the entry. Both columns also hold 20 other rows, listed in
+  // descending order ahead of the interleaved duplicates.
+  std::vector<Triplet> t;
+  for (int j = 0; j < 2; ++j)
+    for (int i = 19; i >= 0; --i) t.push_back({i, j, 1.0 + i});
+  t.push_back({21, 0, 1e16});
+  t.push_back({22, 1, 1e16});
+  t.push_back({21, 0, -1e16});
+  t.push_back({22, 1, 1.0});
+  t.push_back({21, 0, 1.0});
+  t.push_back({22, 1, -1e16});
+  const SparseMatrix m(23, 2, t);
+  // Column 0: (1e16 - 1e16) + 1 = 1. Column 1: (1e16 + 1) - 1e16 = 0,
+  // dropped.
+  ASSERT_EQ(m.col_rows(0).size(), 21u);
+  EXPECT_EQ(m.col_rows(0)[20], 21);
+  EXPECT_EQ(m.col_values(0)[20], 1.0);
+  ASSERT_EQ(m.col_rows(1).size(), 20u);
+  EXPECT_EQ(m.col_rows(1)[19], 19);
+  EXPECT_TRUE(m.row_cols(22).empty());
+  ASSERT_EQ(m.row_cols(21).size(), 1u);
+  EXPECT_EQ(m.row_values(21)[0], 1.0);
 }
 
 TEST(SparseMatrix, OutOfRangeTripletThrows) {
