@@ -73,19 +73,21 @@ fi
 # carries the kill-mid-write/reload recovery cases, which only exist under
 # fault injection. ASan turns a leaked register file or a use-after-restore
 # during recovery into a hard failure. test_simplex and test_lu ride along
-# so the Forrest-Tomlin update path, the scaling frames and the snapshot
-# row-remap machinery get sanitizer coverage every nightly; test_presolve
-# covers the presolve CSR view and its column -> rows index arithmetic.
+# so the Forrest-Tomlin update path, the scaling frames and snapshot
+# restore across appended cut rows get sanitizer coverage every nightly;
+# test_presolve covers the presolve CSR view and its column -> rows index
+# arithmetic; test_cuts covers the Gomory separator's accumulator indexing
+# and the cut-row append path of branch & cut.
 if [ "$CHECK_TIER" = "full" ]; then
   ASAN_DIR="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$ASAN_DIR" -S . "${GENERATOR_FLAGS[@]}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCHECKMATE_ASAN=ON \
     -DCHECKMATE_FAULT_INJECTION=ON
   cmake --build "$ASAN_DIR" -j --target test_chaos test_robust \
-    test_plan_store test_simplex test_lu test_presolve
+    test_plan_store test_simplex test_lu test_presolve test_cuts
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$ASAN_DIR" \
-    -R 'test_chaos|test_robust|test_plan_store|test_simplex|test_lu|test_presolve' \
+    -R 'test_chaos|test_robust|test_plan_store|test_simplex|test_lu|test_presolve|test_cuts' \
     --output-on-failure
 fi
 

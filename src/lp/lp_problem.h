@@ -29,19 +29,11 @@ struct LinearProgram {
   std::vector<Triplet> entries;
   std::vector<double> row_lb, row_ub;
 
-  // Stable per-row identities: add_constraint stamps each row with the next
-  // id, and remove_rows preserves the survivors' ids. DualSimplex snapshots
-  // capture row ids so a basis taken before cut-row garbage collection can
-  // be remapped onto the post-GC LP (see BasisSnapshot). Ids are strictly
-  // increasing in row order by construction.
-  std::vector<int64_t> row_ids;
-  int64_t next_row_id = 0;
-
   // Rows participating in DualSimplex Curtis-Reid scaling: rows >= this
-  // prefix (dynamically appended cut rows) keep unit row-scale so every
-  // engine constructed over this LP -- at any point of the cut lifecycle --
-  // derives identical scale factors. Negative means "all rows" (the default
-  // for LPs that never grow).
+  // prefix (cut rows branch & cut appends; rows are never removed) keep
+  // unit row-scale so every engine constructed over this LP -- before or
+  // after any append -- derives identical scale factors. Negative means
+  // "all rows" (the default for LPs that never grow).
   int scaling_rows = -1;
 
   int num_vars() const { return static_cast<int>(obj.size()); }
@@ -75,43 +67,7 @@ struct LinearProgram {
     }
     row_lb.push_back(lower);
     row_ub.push_back(upper);
-    row_ids.push_back(next_row_id++);
     return r;
-  }
-
-  // Physically deletes the given rows (sorted, unique indices); surviving
-  // rows renumber down but keep their row_ids. Branch & cut calls this at
-  // epoch barriers to drop aged-out cut rows -- engines over this LP must
-  // be rebuilt afterwards (sync_rows only handles appends), and snapshots
-  // captured before the removal remap by row id on restore.
-  void remove_rows(std::span<const int> rows) {
-    if (rows.empty()) return;
-    std::vector<char> dead(num_rows(), 0);
-    for (int r : rows) {
-      if (r < 0 || r >= num_rows())
-        throw std::out_of_range("remove_rows: bad row index");
-      dead[r] = 1;
-    }
-    std::vector<int> new_of(num_rows(), -1);
-    int out = 0;
-    for (int r = 0; r < num_rows(); ++r) {
-      if (dead[r]) continue;
-      new_of[r] = out;
-      row_lb[out] = row_lb[r];
-      row_ub[out] = row_ub[r];
-      row_ids[out] = row_ids[r];
-      ++out;
-    }
-    row_lb.resize(out);
-    row_ub.resize(out);
-    row_ids.resize(out);
-    size_t eout = 0;
-    for (const Triplet& t : entries) {
-      if (new_of[t.row] < 0) continue;
-      entries[eout] = {new_of[t.row], t.col, t.value};
-      ++eout;
-    }
-    entries.resize(eout);
   }
 
   int add_le(std::span<const std::pair<int, double>> terms, double rhs) {

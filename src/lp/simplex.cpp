@@ -168,12 +168,6 @@ DualSimplex::DualSimplex(const LinearProgram& lp, SimplexOptions options)
       t.value *= scale_[t.col] / scale_[n_ + t.row];
     a_ = SparseMatrix(m_, n_, scaled);
   }
-  if (static_cast<int>(lp.row_ids.size()) == m_) {
-    row_ids_ = lp.row_ids;
-  } else {
-    row_ids_.resize(m_);
-    for (int i = 0; i < m_; ++i) row_ids_[i] = i;
-  }
   cost_.assign(num_total(), 0.0);
   lo_.assign(num_total(), 0.0);
   hi_.assign(num_total(), 0.0);
@@ -263,9 +257,6 @@ void DualSimplex::sync_rows() {
     a_.append_rows(m_new - m_, tail);
   }
   entries_synced_ = lp_->entries.size();
-  const bool lp_has_ids = static_cast<int>(lp_->row_ids.size()) == m_new;
-  for (int i = m_; i < m_new; ++i)
-    row_ids_.push_back(lp_has_ids ? lp_->row_ids[i] : i);
   scale_.resize(n_ + m_new, 1.0);
 
   // Grow the column-indexed state: structural columns keep their indices,
@@ -309,7 +300,6 @@ BasisSnapshot DualSimplex::snapshot() const {
   BasisSnapshot s;
   s.valid = basis_valid_;
   s.num_rows = m_;
-  s.row_ids = row_ids_;
   s.scaling_hash = scaling_hash_;
   // Bound overrides are captured even before the first solve (invalid
   // basis): a clone taken after set_var_bounds but before solve() must
@@ -367,18 +357,16 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
   price_dirty_ = true;
   std::fill(d_.begin(), d_.end(), 0.0);
   for (const auto& b : snap.bounds) {
-    // Overrides on rows that no longer exist (captured before a cut-row
-    // GC) have nothing to apply to; branch decisions only ever target
-    // structural columns, which are stable.
+    // Only structural overrides apply: branch decisions only ever target
+    // structural columns, and slack bounds always come from the LP's rows.
     if (b.col < n_) {
       lo_[b.col] = b.lo / scale_[b.col];
       hi_[b.col] = b.hi / scale_[b.col];
     }
   }
-  // Fresh-engine reset: used for invalid snapshots AND as the fallback when
-  // a row-remapped basis fails validation. Keeps the bound overrides
-  // already applied above -- always correct, just a cold start.
-  auto reset_to_slack_start = [&] {
+  // Cold start: the fresh-engine state, keeping the bound overrides
+  // applied above -- always correct, just slower.
+  if (!snap.valid || snap.num_rows > m_) {
     basis_valid_ = false;
     needs_refactor_ = false;
     d_dirty_ = false;
@@ -389,147 +377,26 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
     std::fill(x_.begin(), x_.end(), 0.0);
     std::fill(basic_var_.begin(), basic_var_.end(), -1);
     dse_w_.assign(m_, 1.0);
-  };
-  if (!snap.valid) {
-    reset_to_slack_start();
     return;
   }
 
-  // Row mapping. Fast path: the snapshot's row ids are a prefix of the
-  // current ids (pure appends since capture) -- adopt the basis directly
-  // and make the newer rows' slacks basic, exactly the state a freshly
-  // appended cut row enters in. Ids are strictly increasing on both sides,
-  // so the prefix test is a straight element compare.
-  const bool ids_known =
-      static_cast<int>(snap.row_ids.size()) == snap.num_rows;
-  bool prefix = ids_known && snap.num_rows <= m_;
-  if (prefix) {
-    for (int i = 0; i < snap.num_rows; ++i) {
-      if (snap.row_ids[i] != row_ids_[i]) {
-        prefix = false;
-        break;
-      }
-    }
-  }
-  if (prefix) {
-    std::copy(snap.status.begin(), snap.status.end(), status_.begin());
-    std::copy(snap.basic_var.begin(), snap.basic_var.end(),
-              basic_var_.begin());
-    for (int i = snap.num_rows; i < m_; ++i) {
-      status_[n_ + i] = kBasic;
-      basic_var_[i] = n_ + i;
-    }
-    if (same_frame &&
-        static_cast<int>(snap.dse_weights.size()) == snap.num_rows) {
-      std::copy(snap.dse_weights.begin(), snap.dse_weights.end(),
-                dse_w_.begin());
-      std::fill(dse_w_.begin() + snap.num_rows, dse_w_.end(), 1.0);
-    } else {
-      dse_w_.assign(m_, 1.0);
-    }
-    used_artificial_bound_ = snap.used_artificial_bound;
-    for (int j = 0; j < num_total(); ++j) {
-      if (status_[j] == kBasic) continue;
-      if (status_[j] == kFree)
-        x_[j] = 0.0;
-      else
-        x_[j] = status_[j] == kNonbasicUpper ? hi_[j] : lo_[j];
-    }
-    for (const auto& [j, v] : snap.free_values) x_[j] = v / scale_[j];
-    basis_valid_ = true;
-    needs_refactor_ = true;  // LU rebuilt lazily by the next solve()
-    d_dirty_ = true;
-    xb_dirty_ = true;
-    return;
-  }
-  if (!ids_known) {
-    // A legacy snapshot without ids that is not a prefix by count: nothing
-    // to match on. Cold start.
-    reset_to_slack_start();
-    return;
-  }
-
-  // General remap: rows were garbage-collected (and possibly appended)
-  // since the capture. Match rows by id with one merge pass (both id lists
-  // are strictly increasing), carry the surviving rows' basis state, and
-  // deterministically re-place whatever the removed rows held.
-  std::vector<int> new_of_old(snap.num_rows, -1);
-  {
-    size_t i = 0;
-    for (int r = 0; r < m_; ++r) {
-      while (i < snap.row_ids.size() && snap.row_ids[i] < row_ids_[r]) ++i;
-      if (i == snap.row_ids.size()) break;
-      if (snap.row_ids[i] == row_ids_[r]) new_of_old[i++] = r;
-    }
-  }
-  auto remap_col = [&](int col) -> int {
-    if (col < n_) return col;
-    const int r_new = new_of_old[col - n_];
-    return r_new >= 0 ? n_ + r_new : -1;
-  };
-  // Structural statuses carry over; every row starts slack-basic and
-  // surviving rows then adopt their captured state.
-  for (int j = 0; j < n_; ++j) status_[j] = snap.status[j];
-  for (int i = 0; i < m_; ++i) {
+  // Prefix path: the snapshot's rows are the first rows of the LP (cut
+  // rows only ever append). Adopt the basis directly and make the newer
+  // rows' slacks basic, exactly the state a freshly appended cut row
+  // enters in.
+  std::copy(snap.status.begin(), snap.status.end(), status_.begin());
+  std::copy(snap.basic_var.begin(), snap.basic_var.end(), basic_var_.begin());
+  for (int i = snap.num_rows; i < m_; ++i) {
     status_[n_ + i] = kBasic;
     basic_var_[i] = n_ + i;
-    dse_w_[i] = 1.0;
   }
-  const bool dse_ok =
-      same_frame &&
-      static_cast<int>(snap.dse_weights.size()) == snap.num_rows;
-  for (int r_old = 0; r_old < snap.num_rows; ++r_old) {
-    const int r_new = new_of_old[r_old];
-    if (r_new < 0) continue;
-    status_[n_ + r_new] = snap.status[n_ + r_old];
-    basic_var_[r_new] = remap_col(snap.basic_var[r_old]);  // may be -1
-    if (dse_ok) dse_w_[r_new] = snap.dse_weights[r_old];
-  }
-  // Structurals that were basic in removed rows lost their position: place
-  // them nonbasic on a deterministic side.
-  for (int r_old = 0; r_old < snap.num_rows; ++r_old) {
-    if (new_of_old[r_old] >= 0) continue;
-    const int bv = snap.basic_var[r_old];
-    if (bv < 0 || bv >= n_) continue;
-    if (lo_[bv] != -kInf)
-      status_[bv] = kNonbasicLower;
-    else if (hi_[bv] != kInf)
-      status_[bv] = kNonbasicUpper;
-    else
-      status_[bv] = kFree;
-  }
-  // Positions whose captured basic column vanished with a removed row:
-  // take the position's own slack if it is not already basic elsewhere.
-  bool broken = false;
-  for (int i = 0; i < m_; ++i) {
-    if (basic_var_[i] >= 0) continue;
-    const int sj = n_ + i;
-    if (status_[sj] != kBasic) {
-      status_[sj] = kBasic;
-      basic_var_[i] = sj;
-      dse_w_[i] = 1.0;
-    } else {
-      broken = true;
-    }
-  }
-  // Full validation: the remapped basis must be a bijection between basis
-  // positions and kBasic columns. Any inconsistency -> cold start (correct,
-  // just slower); the result stays a pure function of (snapshot, LP).
-  if (!broken) {
-    std::vector<char> seen(num_total(), 0);
-    for (int i = 0; i < m_ && !broken; ++i) {
-      const int bv = basic_var_[i];
-      if (bv < 0 || bv >= num_total() || status_[bv] != kBasic || seen[bv])
-        broken = true;
-      else
-        seen[bv] = 1;
-    }
-    for (int j = 0; j < num_total() && !broken; ++j)
-      if (status_[j] == kBasic && !seen[j]) broken = true;
-  }
-  if (broken) {
-    reset_to_slack_start();
-    return;
+  if (same_frame &&
+      static_cast<int>(snap.dse_weights.size()) == snap.num_rows) {
+    std::copy(snap.dse_weights.begin(), snap.dse_weights.end(),
+              dse_w_.begin());
+    std::fill(dse_w_.begin() + snap.num_rows, dse_w_.end(), 1.0);
+  } else {
+    dse_w_.assign(m_, 1.0);
   }
   used_artificial_bound_ = snap.used_artificial_bound;
   for (int j = 0; j < num_total(); ++j) {
@@ -539,12 +406,9 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
     else
       x_[j] = status_[j] == kNonbasicUpper ? hi_[j] : lo_[j];
   }
-  for (const auto& [j, v] : snap.free_values) {
-    const int col = remap_col(j);
-    if (col >= 0 && status_[col] == kFree) x_[col] = v / scale_[col];
-  }
+  for (const auto& [j, v] : snap.free_values) x_[j] = v / scale_[j];
   basis_valid_ = true;
-  needs_refactor_ = true;
+  needs_refactor_ = true;  // LU rebuilt lazily by the next solve()
   d_dirty_ = true;
   xb_dirty_ = true;
 }

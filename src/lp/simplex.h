@@ -86,7 +86,9 @@ struct SolveStats {
   int64_t cuts_added = 0;       // cut rows appended (root rounds + barriers)
   int64_t strong_branches = 0;  // reliability-branching probe solves
   int64_t gomory_cuts = 0;      // of cuts_added: from the Gomory separator
-  int64_t cuts_removed = 0;     // cut rows later deleted by in-LP aging
+  // Always 0: cut rows are never deleted. Kept so the bench JSON schema
+  // (kSolveCounters) and its readers stay unchanged.
+  int64_t cuts_removed = 0;
   int64_t root_fixings = 0;     // variables fixed by root reduced-cost fixing
   int64_t lp_refactorizations = 0;  // full LU rebuilds
   int64_t lp_ft_updates = 0;        // Forrest-Tomlin updates absorbed
@@ -145,22 +147,16 @@ struct BasisSnapshot {
     int col;  // structural j in [0, n) or slack n + row
     double lo, hi;
   };
-  // Row count of the LP when the snapshot was captured, plus the identity
-  // (LinearProgram::row_ids) of each of those rows. Cut rows append to a
-  // working LP between epochs and aged-out cut rows are garbage-collected
-  // from it, so the row set a snapshot was captured over and the row set it
-  // restores into may differ in both directions. restore() matches rows by
-  // id: when the snapshot's ids are a prefix of the LP's (the common pure-
-  // append case) the basis is adopted directly and newer rows' slacks made
-  // basic; otherwise surviving rows keep their captured basis state,
-  // removed rows' basic columns are re-placed deterministically (structural
-  // -> its sign-correct bound, vanished slack -> the position's own slack),
-  // and a full consistency validation guards the result -- any mismatch
-  // falls back to the fresh slack basis with the bound overrides kept.
-  // Either way the restored state is a pure function of (snapshot, current
-  // LP), which is the parallel-search determinism contract.
+  // Row count of the LP when the snapshot was captured. The working LP of
+  // branch & cut is append-only -- cut rows join between epochs and stay
+  // for the rest of the solve -- so a snapshot's rows are always the first
+  // num_rows rows of the LP it restores into. restore() adopts the basis
+  // and makes the newer rows' slacks basic; a snapshot over more rows than
+  // the LP (never produced by branch & cut) cold-starts from the slack
+  // basis with the structural bound overrides kept. Either way the
+  // restored state is a pure function of (snapshot, current LP), which is
+  // the parallel-search determinism contract.
   int num_rows = 0;
-  std::vector<int64_t> row_ids;  // size num_rows when valid
   std::vector<int8_t> status;                       // size n + num_rows
   std::vector<int> basic_var;                       // size num_rows
   std::vector<BoundOverride> bounds;                // cols differing from the LP
@@ -343,10 +339,6 @@ class DualSimplex {
   // is off, which keeps the engine bit-identical to the unscaled build.
   std::vector<double> scale_;
   uint64_t scaling_hash_ = 0;
-  // Identity of each LP row this engine has adopted (mirrors
-  // LinearProgram::row_ids; synthesized 0..m-1 for LPs that don't carry
-  // ids). Captured into snapshots for restore-time row remapping.
-  std::vector<int64_t> row_ids_;
 
   std::vector<double> cost_;     // size n+m (slack cost 0), scaled
   std::vector<double> lo_, hi_;  // size n+m, current (overridden), scaled

@@ -180,19 +180,11 @@ class EpochSearch {
         heur_interval_(kHeuristicInterval) {
     epoch_width_ = std::max(1, opt_.epoch_width);
     tree_workers_ = resolve_tree_threads(opt_);
-    // The working LP needs stable row identities (cut-row GC remaps basis
-    // snapshots by id) -- synthesize them when the caller's LP doesn't
-    // carry any (e.g. the presolve output builds rows directly). And the
-    // base rows define the Curtis-Reid scaling prefix: cut rows appended
-    // (and deleted) mid-search keep unit row scale, so EVERY engine
-    // constructed over this LP -- before or after any cut event -- derives
-    // the identical scale vector, which is what lets basis snapshots carry
-    // steepest-edge weights across engines bit-exactly.
-    if (static_cast<int>(lp_.row_ids.size()) != lp_.num_rows()) {
-      lp_.row_ids.resize(static_cast<size_t>(lp_.num_rows()));
-      for (int r = 0; r < lp_.num_rows(); ++r) lp_.row_ids[r] = r;
-      lp_.next_row_id = lp_.num_rows();
-    }
+    // The base rows define the Curtis-Reid scaling prefix: cut rows
+    // appended mid-search keep unit row scale, so EVERY engine constructed
+    // over this LP -- before or after any append -- derives the identical
+    // scale vector, which is what lets basis snapshots carry steepest-edge
+    // weights across engines bit-exactly.
     lp_.scaling_rows = lp_.num_rows();
     for (int j = 0; j < lp.num_vars(); ++j)
       if (lp.is_integer[j]) int_vars_.push_back(j);
@@ -424,12 +416,11 @@ class EpochSearch {
       // deterministically ordered.
       maybe_fix_by_reduced_cost();
       // Node-separated cuts offered this epoch: select the best and append
-      // them, then age both pool populations (pooled entries that keep
-      // losing the selection are evicted; in-LP rows that stay slack at
-      // the root point are deleted from the working LP).
+      // them, then age the pool (pooled entries that keep losing the
+      // selection are evicted; appended rows stay for the rest of the
+      // solve).
       if (cuts_on_ && !had_root) {
         append_cuts(cut_pool_.select(cut_budget()));
-        gc_cut_rows();
         cut_pool_.age_tick();
       }
       if (stop_) break;
@@ -556,46 +547,17 @@ class EpochSearch {
     return sep;
   }
 
-  // Appends selected cuts as <= rows of the working LP. Every engine
-  // adopts the rows via DualSimplex::sync_rows() on its next restore() or
-  // solve(); parent snapshots captured before the append restore cleanly
-  // (the new rows enter with their slack basic). The new rows' stable ids
-  // are bound back into the pool so in-LP aging can later delete them.
+  // Appends selected cuts as <= rows of the working LP, where they stay
+  // for the rest of the solve. Every engine adopts the rows via
+  // DualSimplex::sync_rows() on its next restore() or solve(); parent
+  // snapshots captured before the append restore cleanly (the new rows
+  // enter with their slack basic).
   void append_cuts(const std::vector<Cut>& chosen) {
-    if (chosen.empty()) return;
-    std::vector<int64_t> ids;
-    ids.reserve(chosen.size());
     for (const Cut& c : chosen) {
       lp_.add_le(c.terms, c.rhs);
-      ids.push_back(lp_.row_ids.back());
       ++result_.cuts_added;
       if (c.source == Cut::kGomory) ++result_.gomory_cuts;
     }
-    cut_pool_.bind_rows(chosen, ids);
-  }
-
-  // In-LP cut aging at the barrier: rows whose cut has been slack at the
-  // (cut-strengthened) root point for too many consecutive barriers are
-  // physically deleted from the working LP. Engines are rebuilt lazily --
-  // sync_rows only handles appends -- and every snapshot captured before
-  // the deletion (parent nodes, the root basis) remaps by row id on its
-  // next restore. Coordinator-only, so race-free and deterministic.
-  void gc_cut_rows() {
-    if (root_x_.empty()) return;
-    const std::vector<int64_t> dead = cut_pool_.age_in_lp([&](const Cut& c) {
-      double act = 0.0;
-      for (const auto& [var, coef] : c.terms) act += coef * root_x_[var];
-      return act < c.rhs - 1e-7;
-    });
-    if (dead.empty()) return;
-    std::vector<int> rows;
-    rows.reserve(dead.size());
-    for (int r = 0; r < lp_.num_rows(); ++r)
-      if (std::find(dead.begin(), dead.end(), lp_.row_ids[r]) != dead.end())
-        rows.push_back(r);
-    lp_.remove_rows(rows);
-    result_.cuts_removed += static_cast<int64_t>(rows.size());
-    for (Worker& w : workers_) w.engine.reset();
   }
 
   // Root separation: alternate (separate on the root LP point, append the
@@ -1219,28 +1181,15 @@ class EpochSearch {
       return;
     }
     ensure_pool(want - 1);
-    {
-      std::lock_guard lock(pool_mu_);
-      epoch_slots_ = &slots;
-      epoch_results_ = &results;
-      epoch_slot_count_ = slots.size();
-      epoch_next_ = 0;
-      epoch_pending_ = static_cast<int>(slots.size());
-      ++epoch_id_;
-    }
-    pool_cv_.notify_all();
-    for (;;) {
-      size_t i;
-      {
-        std::lock_guard lock(pool_mu_);
-        if (epoch_next_ >= slots.size()) break;
-        i = epoch_next_++;
-      }
-      results[i] = guarded_slot(0, slots[i]);
-      std::lock_guard lock(pool_mu_);
-      if (--epoch_pending_ == 0) pool_done_cv_.notify_all();
-    }
     std::unique_lock lock(pool_mu_);
+    epoch_slots_ = &slots;
+    epoch_results_ = &results;
+    epoch_slot_count_ = slots.size();
+    epoch_next_ = 0;
+    epoch_pending_ = static_cast<int>(slots.size());
+    ++epoch_id_;
+    pool_cv_.notify_all();
+    claim_slots(0, lock);
     pool_done_cv_.wait(lock, [this] { return epoch_pending_ == 0; });
   }
 
@@ -1253,20 +1202,26 @@ class EpochSearch {
 
   void pool_loop(int wid) {
     uint64_t seen = 0;
+    std::unique_lock lock(pool_mu_);
     for (;;) {
-      std::unique_lock lock(pool_mu_);
       pool_cv_.wait(lock,
                     [&] { return pool_shutdown_ || epoch_id_ > seen; });
       if (pool_shutdown_) return;
       seen = epoch_id_;
-      for (;;) {
-        if (epoch_next_ >= epoch_slot_count_) break;
-        const size_t i = epoch_next_++;
-        lock.unlock();
-        (*epoch_results_)[i] = guarded_slot(wid, (*epoch_slots_)[i]);
-        lock.lock();
-        if (--epoch_pending_ == 0) pool_done_cv_.notify_all();
-      }
+      claim_slots(wid, lock);
+    }
+  }
+
+  // Claims and runs the current epoch's slots on worker `wid` until none
+  // are left. `lock` holds pool_mu_ on entry and on return; it is released
+  // while a slot runs.
+  void claim_slots(int wid, std::unique_lock<std::mutex>& lock) {
+    while (epoch_next_ < epoch_slot_count_) {
+      const size_t i = epoch_next_++;
+      lock.unlock();
+      (*epoch_results_)[i] = guarded_slot(wid, (*epoch_slots_)[i]);
+      lock.lock();
+      if (--epoch_pending_ == 0) pool_done_cv_.notify_all();
     }
   }
 

@@ -402,7 +402,11 @@ void separate_gomory_cuts(const lp::LinearProgram& lp,
     }
     if (usable) {
       // Collect, then guard: density, dynamic ratio, and droppable dust.
+      // A column whose sum cancelled to exactly 0.0 and was then hit again
+      // joined `touched` twice; list it once.
       std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
       double max_a = 0.0;
       for (int c : touched)
         max_a = std::max(max_a, std::abs(acc[static_cast<size_t>(c)]));
@@ -497,47 +501,6 @@ std::vector<Cut> CutPool::select(int max_cuts) {
     out.push_back(e.cut);
   }
   return out;
-}
-
-void CutPool::bind_rows(std::span<const Cut> chosen,
-                        std::span<const int64_t> row_ids) {
-  for (size_t k = 0; k < chosen.size() && k < row_ids.size(); ++k) {
-    const Cut& c = chosen[k];
-    for (Entry& e : entries_) {
-      if (e.in_lp && e.row_id < 0 && e.cut.hash == c.hash &&
-          e.cut.rhs == c.rhs && e.cut.terms == c.terms) {
-        e.row_id = row_ids[k];
-        e.lp_age = 0;
-        break;
-      }
-    }
-  }
-}
-
-std::vector<int64_t> CutPool::age_in_lp(
-    const std::function<bool(const Cut&)>& loose) {
-  std::vector<int64_t> dead;
-  for (Entry& e : entries_) {
-    if (!e.in_lp || e.row_id < 0) continue;
-    if (loose(e.cut)) {
-      if (++e.lp_age > opt_.max_age) dead.push_back(e.row_id);
-    } else {
-      e.lp_age = 0;
-    }
-  }
-  if (!dead.empty()) {
-    // Dropping the entry also drops its dedup anchor: a later re-separation
-    // of the same cut re-enters the pool as a fresh entry (and may be
-    // re-appended) -- bounded by the caller's total-cuts budget.
-    entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
-                                  [&dead](const Entry& e) {
-                                    return e.in_lp && e.row_id >= 0 &&
-                                           std::find(dead.begin(), dead.end(),
-                                                     e.row_id) != dead.end();
-                                  }),
-                   entries_.end());
-  }
-  return dead;
 }
 
 void CutPool::age_tick() {

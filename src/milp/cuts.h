@@ -40,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -154,10 +153,13 @@ struct CutPoolOptions {
   size_t max_entries = 4096;
 };
 
-// Deduplicating store for separated-but-not-yet-added cuts. All methods
-// are meant to be called from one thread (the branch & cut coordinator at
-// epoch barriers); determinism comes from the content-defined total order
-// used by select().
+// Deduplicating store for separated cuts: the pooled ones waiting to be
+// selected, and the in-LP ones already appended as rows. In-LP entries
+// never leave -- the working LP is append-only, so a cut row stays for the
+// rest of the solve -- and keep anchoring dedup. All methods are meant to
+// be called from one thread (the branch & cut coordinator at epoch
+// barriers); determinism comes from the content-defined total order used
+// by select().
 class CutPool {
  public:
   explicit CutPool(CutPoolOptions options = {}) : opt_(options) {}
@@ -178,20 +180,6 @@ class CutPool {
   // trimmed to max_entries keeping the best by the selection order.
   void age_tick();
 
-  // Binds just-appended LP rows to their pool entries (matched by content;
-  // `chosen` is the select() output and `row_ids` the per-cut stable row
-  // ids the caller's LP assigned). Enables age_in_lp below.
-  void bind_rows(std::span<const Cut> chosen,
-                 std::span<const int64_t> row_ids);
-
-  // Aging for the in-LP population: entries whose cut `loose` judges slack
-  // (not supporting the current relaxation point) age by one, tight ones
-  // rejuvenate. Entries loose for more than max_age consecutive calls are
-  // dropped from the pool and their bound row ids returned -- the caller
-  // physically deletes those rows from its LP (snapshot row-id remapping
-  // makes that safe) and rebuilds its engines.
-  std::vector<int64_t> age_in_lp(const std::function<bool(const Cut&)>& loose);
-
   int64_t cuts_selected() const { return selected_; }
   size_t size() const { return entries_.size(); }
 
@@ -200,8 +188,6 @@ class CutPool {
     Cut cut;
     int age = 0;
     bool in_lp = false;
-    int64_t row_id = -1;  // LP row backing an in_lp entry, -1 = unbound
-    int lp_age = 0;       // consecutive age_in_lp calls judged loose
   };
   static bool order_before(const Entry& a, const Entry& b);
   CutPoolOptions opt_;

@@ -91,12 +91,11 @@ struct MilpOptions {
   // root separation after the root LP, node-local separation inside the
   // worker dives every few depths, and commits/ages the cut pool at epoch
   // barriers in slot order -- all deterministic for any num_threads. Cut
-  // rows are appended to the working LP as the pool selects them, and rows
-  // whose cut stays slack at the root point for several consecutive
-  // barriers are physically DELETED again (the working LP carries stable
-  // row ids, so parent basis snapshots captured before a deletion remap
-  // onto the shrunken LP on restore -- lp/simplex.h). The cadences and
-  // budgets are constants in milp/branch_and_bound.cpp.
+  // rows are appended to the working LP as the pool selects them and stay
+  // for the rest of the solve: the LP only grows, so every parent basis
+  // snapshot covers a prefix of its rows (lp/simplex.h). The cadences and
+  // budgets are constants in milp/branch_and_bound.cpp; kMaxCutsTotal
+  // bounds how far the row count can grow.
   const FormulationStructure* cut_structure = nullptr;
   bool cut_separation = true;
   // Gomory mixed-integer cuts read from the root simplex tableau,

@@ -252,36 +252,76 @@ TEST(CutPool, InLpEntriesSurviveAging) {
 
 // -------------------------------------------------- gomory mixed-integer
 
-// Oracle for the Gomory separator: every emitted cut must hold at every
-// integer-feasible point of a (pure-integer, bounded) instance. Points
-// are enumerated brute-force over the variable boxes and filtered through
-// the LP rows, exactly like the knapsack validity harness above.
+// A random bounded pure-integer program: 3-6 columns with upper bound 1 or
+// 2 and a few knapsack-like <= rows. With `small_ints` the costs and row
+// weights are small integers, so the Gomory slack substitutions can cancel
+// a column's coefficient to exactly 0.0 before another term hits it.
+LinearProgram random_ip(std::mt19937& rng, bool small_ints,
+                        std::vector<int>* ub) {
+  std::uniform_real_distribution<double> cost(-3.0, 3.0);
+  const int n = 3 + static_cast<int>(rng() % 4);
+  LinearProgram lp;
+  ub->assign(n, 0);
+  for (int j = 0; j < n; ++j) {
+    (*ub)[j] = 1 + static_cast<int>(rng() % 2);
+    const double c = small_ints ? static_cast<double>(rng() % 7) - 3.0
+                                : cost(rng);
+    lp.add_var(0.0, (*ub)[j], c, /*integer=*/true);
+  }
+  const int m = 1 + static_cast<int>(rng() % 3) + (small_ints ? 1 : 0);
+  for (int r = 0; r < m; ++r) {
+    std::vector<std::pair<int, double>> t;
+    double mass = 0.0;
+    for (int j = 0; j < n; ++j) {
+      if (rng() % 3 == 0) continue;
+      const double w =
+          1.0 + static_cast<double>(rng() % (small_ints ? 3 : 7));
+      t.emplace_back(j, w);
+      mass += w * (*ub)[j];
+    }
+    if (t.empty()) t.emplace_back(static_cast<int>(rng() % n), 2.0);
+    lp.add_le(t, std::max(1.0, std::floor(mass * 0.45)));
+  }
+  return lp;
+}
+
+// Oracle for the Gomory separator: every cut must hold at every
+// integer-feasible point of the instance. Points are enumerated
+// brute-force over the variable boxes and filtered through the LP rows,
+// exactly like the knapsack validity harness above. Returns the number of
+// (point, cut) checks made.
+int expect_valid_at_integer_points(const LinearProgram& lp,
+                                   const std::vector<int>& ub,
+                                   const std::vector<Cut>& cuts, int trial) {
+  const int n = lp.num_vars();
+  int checked = 0;
+  // Mixed-radix enumeration of the integer box.
+  std::vector<double> pt(n, 0.0);
+  for (;;) {
+    if (lp.max_violation(pt) <= 1e-9) {
+      for (const Cut& cut : cuts) {
+        double lhs = 0.0;
+        for (const auto& [var, coef] : cut.terms) lhs += coef * pt[var];
+        EXPECT_LE(lhs, cut.rhs + 1e-7)
+            << "trial " << trial << " cut invalid at integer point";
+        ++checked;
+      }
+    }
+    int j = 0;
+    while (j < n && pt[j] >= ub[j]) pt[j++] = 0.0;
+    if (j == n) break;
+    pt[j] += 1.0;
+  }
+  return checked;
+}
+
 TEST(GomorySeparation, BruteForceValidityOnRandomIps) {
   std::mt19937 rng(29);
-  std::uniform_real_distribution<double> cost(-3.0, 3.0);
   int cuts_checked = 0;
   int trials_with_cuts = 0;
   for (int trial = 0; trial < 200; ++trial) {
-    const int n = 3 + static_cast<int>(rng() % 4);
-    LinearProgram lp;
-    std::vector<int> ub(n);
-    for (int j = 0; j < n; ++j) {
-      ub[j] = 1 + static_cast<int>(rng() % 2);
-      lp.add_var(0.0, ub[j], cost(rng), /*integer=*/true);
-    }
-    const int m = 1 + static_cast<int>(rng() % 3);
-    for (int r = 0; r < m; ++r) {
-      std::vector<std::pair<int, double>> t;
-      double mass = 0.0;
-      for (int j = 0; j < n; ++j) {
-        if (rng() % 3 == 0) continue;
-        const double w = 1.0 + static_cast<double>(rng() % 7);
-        t.emplace_back(j, w);
-        mass += w * ub[j];
-      }
-      if (t.empty()) t.emplace_back(static_cast<int>(rng() % n), 2.0);
-      lp.add_le(t, std::max(1.0, std::floor(mass * 0.45)));
-    }
+    std::vector<int> ub;
+    const LinearProgram lp = random_ip(rng, /*small_ints=*/false, &ub);
     lp::DualSimplex engine(lp);
     auto res = engine.solve();
     if (res.status != lp::LpStatus::kOptimal) continue;
@@ -293,27 +333,43 @@ TEST(GomorySeparation, BruteForceValidityOnRandomIps) {
       EXPECT_GT(cut.violation, 0.0) << "trial " << trial;
       EXPECT_EQ(cut.source, Cut::kGomory) << "trial " << trial;
     }
-    // Mixed-radix enumeration of the integer box.
-    std::vector<double> pt(n, 0.0);
-    for (;;) {
-      if (lp.max_violation(pt) <= 1e-9) {
-        for (const Cut& cut : cuts) {
-          double lhs = 0.0;
-          for (const auto& [var, coef] : cut.terms) lhs += coef * pt[var];
-          EXPECT_LE(lhs, cut.rhs + 1e-7)
-              << "trial " << trial << " cut invalid at integer point";
-          ++cuts_checked;
-        }
-      }
-      int j = 0;
-      while (j < n && pt[j] >= ub[j]) pt[j++] = 0.0;
-      if (j == n) break;
-      pt[j] += 1.0;
-    }
+    cuts_checked += expect_valid_at_integer_points(lp, ub, cuts, trial);
   }
   // The generator must actually exercise the separator.
   EXPECT_GT(trials_with_cuts, 10);
   EXPECT_GT(cuts_checked, 100);
+}
+
+// Small integer data make the slack substitution cancel exactly: a column
+// whose accumulated coefficient returns to 0.0 and is then hit again must
+// still appear once in the cut, with its true coefficient (listing it
+// twice doubled the coefficient once the cut became an LP row). Trials 277
+// and 285 of this seed cancel that way; doubled, trial 285's cut cuts off
+// a feasible integer point.
+TEST(GomorySeparation, SmallIntegerIpsListEachColumnOnce) {
+  std::mt19937 rng(29);
+  int cuts_checked = 0;
+  int trials_with_cuts = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<int> ub;
+    const LinearProgram lp = random_ip(rng, /*small_ints=*/true, &ub);
+    lp::DualSimplex engine(lp);
+    auto res = engine.solve();
+    if (res.status != lp::LpStatus::kOptimal) continue;
+    std::vector<Cut> cuts;
+    separate_gomory_cuts(lp, engine, res.x, SeparationOptions{}, &cuts);
+    if (cuts.empty()) continue;
+    ++trials_with_cuts;
+    for (const Cut& cut : cuts) {
+      for (size_t k = 1; k < cut.terms.size(); ++k)
+        EXPECT_LT(cut.terms[k - 1].first, cut.terms[k].first)
+            << "trial " << trial << " lists column " << cut.terms[k].first
+            << " out of order or twice";
+    }
+    cuts_checked += expect_valid_at_integer_points(lp, ub, cuts, trial);
+  }
+  EXPECT_GT(trials_with_cuts, 100);
+  EXPECT_GT(cuts_checked, 1000);
 }
 
 // ------------------------------------------------------------ end to end

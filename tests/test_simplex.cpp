@@ -566,29 +566,36 @@ TEST(DualSimplex, CrossRowCountRestoreIsBitIdenticalAndCarriesWeights) {
   for (size_t j = 0; j < ra.x.size(); ++j) EXPECT_EQ(ra.x[j], rb.x[j]);
 }
 
-TEST(DualSimplex, RestoreRemapsSnapshotWithRemovedRows) {
-  // Cut-row garbage collection can shrink the LP between capture and
-  // restore: the snapshot's extra row is matched away by id and the
-  // surviving rows keep their basis state.
-  LinearProgram big = clone_test_lp(10, 41u);
-  LinearProgram small = big;  // ids 0..9 in both
-  big.add_ge(std::vector<std::pair<int, double>>{{0, 1.0}}, 1.0);  // id 10
+TEST(DualSimplex, RestoreOfSnapshotOverMoreRowsColdStarts) {
+  // Branch & cut only appends rows, so a snapshot over MORE rows than the
+  // engine's LP has no prefix to adopt: restore() cold-starts from the
+  // slack basis, keeping the structural bound override, and the solve is
+  // the fresh engine's solve bit for bit.
+  LinearProgram small = clone_test_lp(10, 41u);
+  LinearProgram big = small;
+  big.add_ge(std::vector<std::pair<int, double>>{{0, 1.0}}, 1.0);
   DualSimplex big_engine(big);
   big_engine.set_var_bounds(1, 0.5, 2.0);
   ASSERT_EQ(big_engine.solve().status, LpStatus::kOptimal);
   const BasisSnapshot snap = big_engine.snapshot();
+  ASSERT_TRUE(snap.valid);
+  ASSERT_GT(snap.num_rows, small.num_rows());
+
   DualSimplex small_engine(small);
   small_engine.restore(snap);
+  EXPECT_EQ(small_engine.var_lower(1), 0.5);
+  EXPECT_EQ(small_engine.var_upper(1), 2.0);
   const LpResult warm = small_engine.solve();
-  ASSERT_EQ(warm.status, LpStatus::kOptimal);
-  // The override survived and the warm solve agrees with a cold one.
   DualSimplex fresh(small);
   fresh.set_var_bounds(1, 0.5, 2.0);
   const LpResult cold = fresh.solve();
+  ASSERT_EQ(warm.status, LpStatus::kOptimal);
   ASSERT_EQ(cold.status, LpStatus::kOptimal);
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-6);
-  EXPECT_GE(warm.x[1], 0.5 - 1e-9);
-  EXPECT_LE(warm.x[1], 2.0 + 1e-9);
+  EXPECT_EQ(warm.objective, cold.objective);
+  EXPECT_EQ(warm.iterations, cold.iterations);
+  EXPECT_EQ(warm.x, cold.x);
+  EXPECT_GE(warm.x[1], 0.5);
+  EXPECT_LE(warm.x[1], 2.0);
 }
 
 TEST(DualSimplex, ModeratelyLargeStructuredLp) {
