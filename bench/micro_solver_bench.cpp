@@ -3,11 +3,10 @@
 // schedule generation and simulation throughput.
 //
 // JSON mode: `micro_solver_bench --json[=PATH]` skips google-benchmark and
-// instead runs the solver-overhaul instance/config matrix once, writing
-// per-instance nodes, LP iterations and wall time to PATH (default
-// BENCH_solver.json). This seeds the performance trajectory across PRs and
-// documents the ablation (each switchable subsystem of the shipped
-// configuration turned off in turn, plus worker-count and backend rows).
+// instead runs the shipped solver over the instance/config matrix once
+// (worker-count and backend rows), writing per-instance status, cost, every
+// solver counter and wall time to PATH (default BENCH_solver.json). This
+// seeds the performance trajectory across changes.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -136,31 +135,6 @@ void BM_CheckmateIlpSolveUnitChain(benchmark::State& state) {
 BENCHMARK(BM_CheckmateIlpSolveUnitChain)->Arg(4)->Arg(6)->Arg(8)
     ->Unit(benchmark::kMillisecond)->Iterations(3);
 
-// Ablation scenarios for the solver overhaul: arg encodes the knob flipped
-// off relative to the shipped configuration on the tight-budget chain.
-//   0: shipped (presolve + pseudocosts)   1: presolve off
-//   2: most-fractional branching
-void BM_CheckmateIlpSolveAblation(benchmark::State& state) {
-  auto p = RematProblem::unit_training_chain(6);
-  Scheduler sched(p);
-  IlpSolveOptions opts;
-  opts.time_limit_sec = 30.0;
-  switch (state.range(0)) {
-    case 1: opts.presolve = false; break;
-    case 2: opts.pseudocost_branching = false; break;
-    default: break;
-  }
-  int64_t nodes = 0;
-  for (auto _ : state) {
-    auto res = sched.solve_optimal_ilp(5.0, opts);
-    nodes = res.nodes;
-    benchmark::DoNotOptimize(res.cost);
-  }
-  state.counters["bnb_nodes"] = static_cast<double>(nodes);
-}
-BENCHMARK(BM_CheckmateIlpSolveAblation)->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond)->Iterations(1);
-
 void BM_TwoPhaseRounding(benchmark::State& state) {
   auto p = RematProblem::unit_training_chain(12);
   const int n = p.size();
@@ -206,43 +180,24 @@ BENCHMARK(BM_PolicySimulationUnet);
 
 // ------------------------------------------------------------------ JSON
 
-// One row of the JSON matrix: the shipped configuration with at most one
-// subsystem switched off (every field defaults to the shipped value).
+// One row of the JSON matrix: the shipped solver with a worker count, an
+// ILP backend (dense Problem 9 vs the sparse retention-interval
+// formulation), and whether the config runs on the deep-instance set.
 struct SolverConfig {
   const char* name;
-  bool presolve = true;
-  bool pseudocost = true;
   int num_threads = 1;
-  bool rcfix = true;  // root reduced-cost fixing
-  // Branch & cut: cover/clique cut separation on the memory rows and
-  // reliability branching.
-  bool cuts = true;
-  bool reliability = true;
-  // ILP backend: dense Problem 9 vs the sparse retention-interval
-  // formulation, and whether the config runs on the deep-instance set.
   IlpFormulationKind formulation = IlpFormulationKind::kDense;
   bool big = false;
-  // LP engine: Curtis-Reid scaling and Gomory mixed-integer root cuts.
-  bool scaling = true;
-  bool gomory = true;
 };
 
-// Each no_* row flips one knob off the shipped configuration ("overhaul").
-// threads2/threads4 are the shipped configuration with more tree-search
-// workers: the epoch-lockstep determinism guarantee means their node counts
-// MUST equal overhaul's exactly (the CI gate in scripts/compare_bench.py
-// enforces it), only wall-clock may differ.
+// "overhaul" is the shipped solver on one thread. threads2/threads4 add
+// tree-search workers: the epoch-lockstep determinism guarantee means
+// every counter MUST equal overhaul's exactly (the CI gate in
+// scripts/compare_bench.py enforces it), only wall-clock may differ.
 constexpr SolverConfig kConfigs[] = {
     {.name = "overhaul"},
     {.name = "threads2", .num_threads = 2},
     {.name = "threads4", .num_threads = 4},
-    {.name = "no_presolve", .presolve = false},
-    {.name = "no_pseudocost", .pseudocost = false},
-    {.name = "no_rcfix", .rcfix = false},
-    {.name = "no_cuts", .cuts = false},
-    {.name = "no_reliability", .reliability = false},
-    {.name = "no_scaling", .scaling = false},
-    {.name = "no_gomory", .gomory = false},
     // Retention-interval backend. "interval" reruns the small instances --
     // compare_bench.py asserts its proven costs equal "overhaul"'s exactly
     // (the dense-vs-interval cross-check). The *_big rows run the deep
@@ -336,17 +291,10 @@ int run_json_suite(const std::string& path) {
         IlpSolveOptions opts;
         opts.time_limit_sec = 60.0;
         // The dual plateau below the optimum makes 1e-4 unprovable in
-        // minutes on the real models; 5e-4 separates the configurations.
+        // minutes on the real models; 5e-4 proves the small instances.
         opts.relative_gap = 5e-4;
-        opts.presolve = cfg.presolve;
-        opts.pseudocost_branching = cfg.pseudocost;
         opts.num_threads = cfg.num_threads;
-        opts.root_reduced_cost_fixing = cfg.rcfix;
-        opts.cut_separation = cfg.cuts;
-        opts.reliability_branching = cfg.reliability;
         opts.formulation = cfg.formulation;
-        opts.lp_scaling = cfg.scaling;
-        opts.gomory_cuts = cfg.gomory;
         auto res = sched.solve_optimal_ilp(inst.budget, opts);
         if (!first) std::fprintf(f, ",\n");
         first = false;

@@ -77,17 +77,19 @@ fi
 # restore across appended cut rows get sanitizer coverage every nightly;
 # test_presolve covers the presolve CSR view and its column -> rows index
 # arithmetic; test_cuts covers the Gomory separator's accumulator indexing
-# and the cut-row append path of branch & cut.
+# and the cut-row append path of branch & cut; test_milp covers the
+# single-thread search: branching, root reduced-cost fixing and the
+# work-limit truncation paths.
 if [ "$CHECK_TIER" = "full" ]; then
   ASAN_DIR="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$ASAN_DIR" -S . "${GENERATOR_FLAGS[@]}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCHECKMATE_ASAN=ON \
     -DCHECKMATE_FAULT_INJECTION=ON
   cmake --build "$ASAN_DIR" -j --target test_chaos test_robust \
-    test_plan_store test_simplex test_lu test_presolve test_cuts
+    test_plan_store test_simplex test_lu test_presolve test_cuts test_milp
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$ASAN_DIR" \
-    -R 'test_chaos|test_robust|test_plan_store|test_simplex|test_lu|test_presolve|test_cuts' \
+    -R 'test_chaos|test_robust|test_plan_store|test_simplex|test_lu|test_presolve|test_cuts|test_milp$' \
     --output-on-failure
 fi
 

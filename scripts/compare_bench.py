@@ -52,10 +52,6 @@ failed: a PR that adds or retires a bench instance/config must not brick the
 gate (the committed baseline is refreshed in the same PR, and the warning
 keeps the mismatch visible in the log). If NO rows overlap at all the gate
 fails -- a comparison that gated nothing is a misconfiguration, not a pass.
-EXCEPTION: the ablation configs in ABLATION_CONFIGS (no_rcfix, no_cuts,
-no_reliability, no_scaling, no_gomory) are load-bearing -- they document
-what each subsystem buys -- so a fresh solver run that silently drops one
-of them FAILS instead of warning.
 
 Node counts are deterministic for completed searches (the tree does not
 depend on wall-clock speed or worker count unless a limit is hit), so a >2x
@@ -66,28 +62,21 @@ row (solver "overhaul", sweep cold/cached) whose baseline time clears
 --wall-floor must not exceed --max-wall-ratio (default 4x) times it. That
 catches a robustness hook leaking onto the happy path (a per-node deadline
 check or fault probe gone hot) while staying far above scheduler noise;
-ablation and thread-scaling rows stay ungated.
+thread-scaling and backend rows stay ungated.
 """
 
 import argparse
 import json
 import sys
 
-# Configs whose node counts must be identical on a given instance: the
-# epoch-lockstep tree search guarantees worker-count invariance (with cut
-# separation and reliability branching enabled -- both ride the barrier
-# protocol).
+# Configs whose counters must be identical on a given instance: the
+# epoch-lockstep tree search guarantees worker-count invariance (cut
+# separation and reliability branching both ride the barrier protocol).
 DETERMINISM_CONFIGS = ("overhaul", "threads2", "threads4")
 
 # Integer-valued row keys that are not search counters: the worker count
 # itself, and a cost that happens to print without a fraction.
 NON_COUNTER_KEYS = ("threads", "cost", "best_bound")
-
-# Ablation configs the solver bench must keep reporting: each one flips a
-# shipped subsystem off, and the committed baseline is the record of what
-# that subsystem buys. A fresh run missing one of these rows fails the gate.
-ABLATION_CONFIGS = ("no_rcfix", "no_cuts", "no_reliability", "no_scaling",
-                    "no_gomory")
 
 
 def solver_records(doc):
@@ -235,15 +224,6 @@ def main():
             "nothing was gated; wrong baseline file or renamed instances?")
 
     if kind == "micro_solver_bench":
-        # Ablation rows are part of the bench contract: if the baseline
-        # tracks one, the fresh run must report it too.
-        fresh_configs = {config for (_, config) in fresh}
-        for config in ABLATION_CONFIGS:
-            if any(c == config for (_, c) in base) and \
-                    config not in fresh_configs:
-                failures.append(
-                    f"ablation config {config!r} missing from fresh run")
-
         # Worker-count determinism gate on the fresh run. Only meaningful
         # when every config completed: a wall-clock-truncated search stops
         # at a machine-dependent point, so node counts legitimately differ

@@ -57,22 +57,12 @@ ScheduleResult solve_formulation(const IlpFormulation& form,
   mopts.relative_gap = options.relative_gap;
   mopts.branch_priority = form.branch_priorities();
   mopts.stop_at_first_incumbent = options.stop_at_first_incumbent;
-  mopts.presolve = options.presolve;
-  mopts.pseudocost_branching = options.pseudocost_branching;
-  mopts.root_reduced_cost_fixing = options.root_reduced_cost_fixing;
-  mopts.simplex.scaling = options.lp_scaling;
-  mopts.gomory_cuts = options.gomory_cuts;
   // Branch & cut: hand the solver the formulation's knapsack view of the
   // memory rows. The structure outlives the solve (stack scope below) and
   // survives presolve and root-fixing tightenings (capacities are read from
   // the live U upper bounds at separation time).
-  milp::FormulationStructure cut_structure;
-  mopts.cut_separation = options.cut_separation;
-  mopts.reliability_branching = options.reliability_branching;
-  if (options.cut_separation) {
-    cut_structure = form.cut_structure();
-    mopts.cut_structure = &cut_structure;
-  }
+  const milp::FormulationStructure cut_structure = form.cut_structure();
+  mopts.cut_structure = &cut_structure;
   if (options.max_lp_iterations > 0)
     mopts.max_lp_iterations = options.max_lp_iterations;
   if (options.max_nodes > 0) mopts.max_nodes = options.max_nodes;

@@ -29,22 +29,6 @@ struct IlpSolveOptions {
   // retention-interval one (see IlpFormulationKind in core/ilp_builder.h).
   IlpFormulationKind formulation = IlpFormulationKind::kDense;
   bool stop_at_first_incumbent = false;
-  // Solver machinery knobs (threaded straight into milp::MilpOptions; the
-  // defaults are the overhauled fast path, the ablation benches flip them).
-  bool presolve = true;
-  bool pseudocost_branching = true;
-  bool root_reduced_cost_fixing = true;
-  // Curtis-Reid equilibration at LP-engine load (lp::SimplexOptions::
-  // scaling) and Gomory mixed-integer cuts from the root tableau.
-  bool lp_scaling = true;
-  bool gomory_cuts = true;
-  // Branch & cut: Checkmate-structural cover/clique cut separation over
-  // the memory rows (the formulation hands the solver a knapsack view via
-  // IlpFormulation::cut_structure) and reliability branching (strong-
-  // branch probes until pseudocosts are trustworthy). Both deterministic
-  // for any num_threads; the ablation benches flip them off individually.
-  bool cut_separation = true;
-  bool reliability_branching = true;
   // Deterministic work limits: stop after this many cumulative simplex
   // iterations / explored nodes (0 = unlimited). Unlike the wall-clock
   // limit these make truncated runs machine-independent.

@@ -79,8 +79,7 @@ void DualSimplex::compute_scaling(const LinearProgram& lp) {
   const uint64_t kFnvPrime = 1099511628211ull;
   // Hash only non-unit factors, keyed by column: engines constructed over
   // the same LP before and after cut-row appends (whose factors are all 1)
-  // must agree on the identity, as must scaling-off engines vs. scaling-on
-  // engines whose factors all round to 1.
+  // must agree on the identity.
   scaling_hash_ = kFnvOffset;
   auto hash_exp = [&](int col, int e) {
     if (e == 0) return;
@@ -89,7 +88,6 @@ void DualSimplex::compute_scaling(const LinearProgram& lp) {
     scaling_hash_ ^= static_cast<uint64_t>(static_cast<int64_t>(e));
     scaling_hash_ *= kFnvPrime;
   };
-  if (!opt_.scaling) return;
   const int prefix =
       lp.scaling_rows < 0 ? m_ : std::min(lp.scaling_rows, m_);
   // The live entries' log-magnitudes, laid out once row-major (row_log,

@@ -30,7 +30,13 @@
 //   - hypersparse FTRAN/BTRAN: rho, the entering column, the flip column
 //     and the steepest-edge tau ride in sparse work vectors (lp/lu.h), so
 //     the solves, the pricing pass, the basic-value updates and the
-//     steepest-edge weight loop all walk index lists, not all m rows.
+//     steepest-edge weight loop all walk index lists, not all m rows;
+//   - Curtis-Reid geometric-mean scaling at engine load time: equilibrates
+//     the badly-ranged memory rows (byte coefficients vs. 0/1 logic rows)
+//     by least-squares log2 row/column factors rounded to powers of two, so
+//     scaling and unscaling are exact and the solution/duals extract
+//     bit-clean. Snapshots carry the scaling identity; engines over the
+//     same LP derive identical factors, preserving the restore contract.
 //
 // Basis representation: sparse LU (Gilbert-Peierls) with Forrest-Tomlin
 // updates: each pivot folds into the factors as one row eta plus a column
@@ -60,13 +66,6 @@ struct SimplexOptions {
   // kObjectiveLimit instead of grinding to optimality. Checked on a fixed
   // iteration cadence, so truncation points are machine-independent.
   double objective_limit = kInf;
-  // Curtis-Reid geometric-mean scaling at engine load time: equilibrates
-  // the badly-ranged memory rows (byte coefficients vs. 0/1 logic rows) by
-  // least-squares log2 row/column factors rounded to powers of two, so
-  // scaling and unscaling are exact and the solution/duals extract
-  // bit-clean. Snapshots carry the scaling identity; engines over the same
-  // LP derive identical factors, preserving the restore contract.
-  bool scaling = true;
   // Absolute deadline and cancellation token, checked on the same cheap
   // iteration stride as the wall-clock limit. Either trips the solve into
   // kIterationLimit with a sound truncated dual bound. Both default inert.
@@ -299,8 +298,8 @@ class DualSimplex {
   void make_initial_basis();
   double bound_for_status(int col, int status) const;
   // Curtis-Reid scale factors for the constructor (fills scale_ and
-  // scaling_hash_; all-ones when opt_.scaling is off or the ranges are
-  // already balanced enough that every rounded factor is 1).
+  // scaling_hash_; all-ones when the ranges are already balanced enough
+  // that every rounded factor is 1).
   void compute_scaling(const LinearProgram& lp);
   // Partial pricing: rebuilds the leaving-row candidate list with a full
   // deterministic scan (worst violations by dse-scaled score).
@@ -335,8 +334,8 @@ class DualSimplex {
   // Curtis-Reid column scale factors, size n+m: structural j holds q_j
   // (internal x~_j = x_j / q_j), slack n+i holds 1/r_i so the slack column
   // of the scaled working matrix stays exactly -1. All powers of two, so
-  // every scale/unscale is exact in floating point. All-ones when scaling
-  // is off, which keeps the engine bit-identical to the unscaled build.
+  // every scale/unscale is exact in floating point. All-ones when every
+  // rounded factor is 1.
   std::vector<double> scale_;
   uint64_t scaling_hash_ = 0;
 

@@ -26,9 +26,16 @@ using Clock = std::chrono::steady_clock;
 // starves the search of incumbents and was measured pathological on
 // vgg16_mid_budget (64: 13694 nodes; 256: 4091 nodes, 3x less wall time;
 // dives there never exceed 256, so larger caps change nothing). The cap is
-// a fixed constant -- like epoch_width it is part of the deterministic
+// a fixed constant -- like kEpochWidth it is part of the deterministic
 // search semantics and must not depend on the worker count.
 constexpr int64_t kMaxDiveNodes = 256;
+
+// Nodes deterministically popped from the shared queue per lockstep epoch.
+// Unlike num_threads this IS part of the search semantics: a different
+// width explores a different tree (a wider epoch expands more frontier
+// nodes against the same epoch-start incumbent). It also caps the useful
+// worker count (resolve_tree_threads).
+constexpr int kEpochWidth = 4;
 
 // Distance from the nearest integer below which a value counts as
 // integral (branching candidates, incumbent validation, reduced-cost
@@ -178,7 +185,6 @@ class EpochSearch {
         heuristic_(heuristic),
         start_(Clock::now()),
         heur_interval_(kHeuristicInterval) {
-    epoch_width_ = std::max(1, opt_.epoch_width);
     tree_workers_ = resolve_tree_threads(opt_);
     // The base rows define the Curtis-Reid scaling prefix: cut rows
     // appended mid-search keep unit row scale, so EVERY engine constructed
@@ -193,22 +199,14 @@ class EpochSearch {
     workers_.resize(static_cast<size_t>(tree_workers_));
     // First-incumbent (feasibility-probe) searches stop at the first
     // feasible point: cut rounds and strong-branch probes pay off through
-    // bound pruning, which such a search never reaches, so both default
-    // off there regardless of the knobs.
-    knapsack_cuts_on_ = opt_.cut_separation &&
-                        opt_.cut_structure != nullptr &&
-                        !opt_.cut_structure->empty();
+    // bound pruning, which such a search never reaches, so both are off
+    // there.
+    knapsack_cuts_on_ =
+        opt_.cut_structure != nullptr && !opt_.cut_structure->empty();
     // Gomory separation reads the root tableau, so it needs no structural
     // view -- generic MILPs get root cut rounds too.
-    cuts_on_ = opt_.cut_separation && !int_vars_.empty() &&
-               !opt_.stop_at_first_incumbent &&
-               (knapsack_cuts_on_ || opt_.gomory_cuts);
-    // Reliability branching exists to make the pseudocost scores
-    // trustworthy early; with pseudocost branching off the probes would
-    // feed a store nobody reads.
-    reliability_on_ = opt_.reliability_branching &&
-                      opt_.pseudocost_branching &&
-                      !opt_.stop_at_first_incumbent;
+    cuts_on_ = !int_vars_.empty() && !opt_.stop_at_first_incumbent;
+    reliability_on_ = !opt_.stop_at_first_incumbent;
     cut_pool_ = CutPool(CutPoolOptions{kCutMaxAge, 4096});
   }
 
@@ -375,7 +373,7 @@ class EpochSearch {
         slots.push_back(OpenNode{});  // the root: empty path, -inf bound
       } else {
         const double thresh = prune_threshold();
-        while (static_cast<int>(slots.size()) < epoch_width_ &&
+        while (static_cast<int>(slots.size()) < kEpochWidth &&
                !open_.empty()) {
           OpenNode n = pop_open();
           if (n.bound >= thresh) continue;  // pruned on pop, not counted
@@ -505,9 +503,8 @@ class EpochSearch {
   // whose branching path already contradicts a fixing are pruned at slot
   // start by the intersection guard in process_slot.
   void maybe_fix_by_reduced_cost() {
-    if (!opt_.root_reduced_cost_fixing || !root_done_ || root_redcost_.empty())
+    if (!root_done_ || root_redcost_.empty() || !result_.has_solution())
       return;
-    if (!result_.has_solution()) return;
     const double cutoff = prune_threshold();
     if (cutoff >= last_fix_cutoff_) return;  // no incumbent progress
     last_fix_cutoff_ = cutoff;
@@ -574,18 +571,28 @@ class EpochSearch {
         w.engine = std::make_unique<lp::DualSimplex>(lp_, opt_.simplex);
       lp::DualSimplex& eng = *w.engine;
       const lp::SolveStats stats0 = eng.stats();
+      // The deterministic work limit binds the cut rounds too: no root
+      // solve starts once the committed budget is spent, and each is
+      // capped at what is left of it.
+      const auto iters_left = [&] {
+        return opt_.max_lp_iterations - result_.lp_iterations;
+      };
+      // Re-solves the root from its latest basis.
+      const auto solve_root = [&] {
+        eng.restore(*root_snap_);
+        eng.set_objective_limit(lp::kInf);  // the root is never pruned
+        eng.set_time_limit(std::max(0.01, remaining_sec()));
+        eng.set_iteration_limit(static_cast<int>(
+            std::min<int64_t>(opt_.simplex.max_iterations, iters_left())));
+        const lp::LpResult rel = eng.solve();
+        result_.lp_iterations += rel.iterations;
+        return rel;
+      };
       // The Gomory separator reads the engine's tableau, so the engine
       // must sit at the root optimum: land it there from the root snapshot
       // (the snapshot IS the optimal basis -- this costs ~0 pivots).
-      bool at_optimum = false;
-      if (opt_.gomory_cuts) {
-        eng.restore(*root_snap_);
-        eng.set_objective_limit(lp::kInf);
-        eng.set_time_limit(std::max(0.01, remaining_sec()));
-        const lp::LpResult rel = eng.solve();
-        result_.lp_iterations += rel.iterations;
-        at_optimum = rel.status == lp::LpStatus::kOptimal;
-      }
+      bool at_optimum = iters_left() > 0 &&
+                        solve_root().status == lp::LpStatus::kOptimal;
       // Gomory separation must prove itself: a round whose bound gain is
       // negligible before Gomory has ever moved the root bound disables
       // FURTHER Gomory separation -- on some instances the tableau only
@@ -594,12 +601,12 @@ class EpochSearch {
       // round lands a real gain, separation runs until no violated cut
       // remains: late rounds often finish integralizing the root vertex
       // even while the bound plateaus, which is what collapses the tree.
-      bool gomory_live = opt_.gomory_cuts;
+      bool gomory_live = true;
       bool gomory_gained = false;
       for (int round = 0; round < kMaxRootCutRounds; ++round) {
         const int budget = cut_budget();
         if (budget <= 0) break;
-        if (remaining_sec() <= 0.0) break;
+        if (remaining_sec() <= 0.0 || iters_left() <= 0) break;
         // The root bound already proves the incumbent within the
         // termination gap: the search will end without branching, so any
         // further separation round is pure waste (the root epoch's dives
@@ -616,11 +623,7 @@ class EpochSearch {
         const std::vector<Cut> chosen = cut_pool_.select(budget);
         if (chosen.empty()) break;
         append_cuts(chosen);
-        eng.restore(*root_snap_);
-        eng.set_objective_limit(lp::kInf);  // the root is never pruned
-        eng.set_time_limit(std::max(0.01, remaining_sec()));
-        const lp::LpResult rel = eng.solve();
-        result_.lp_iterations += rel.iterations;
+        const lp::LpResult rel = solve_root();
         at_optimum = rel.status == lp::LpStatus::kOptimal;
         if (!at_optimum) break;  // keep previous root
         const double gain = rel.objective - result_.root_relaxation;
@@ -708,14 +711,9 @@ class EpochSearch {
     double best_down = 0.0, best_up = 0.0;
     for (int j : branch_candidates(x)) {
       const double f = x[j] - std::floor(x[j]);
-      double score, est_down = f, est_up = 1.0 - f;
-      if (opt_.pseudocost_branching) {
-        est_down = pc.rate(0, j) * f;
-        est_up = pc.rate(1, j) * (1.0 - f);
-        score = std::max(est_down, 1e-9) * std::max(est_up, 1e-9);
-      } else {
-        score = std::min(f, 1.0 - f);  // closest to 0.5 is largest
-      }
+      const double est_down = pc.rate(0, j) * f;
+      const double est_up = pc.rate(1, j) * (1.0 - f);
+      const double score = std::max(est_down, 1e-9) * std::max(est_up, 1e-9);
       if (score > best_score) {
         best = j;
         best_score = score;
@@ -753,11 +751,13 @@ class EpochSearch {
   // child prunable). Observed degradations feed the slot-local pseudocost
   // copy immediately (so this node's pick already benefits) and ride
   // out.pc_obs into the committed store; sides proven prunable are flagged
-  // so the branching step skips them. Pure slot-local work: bit-identical
-  // for any worker count.
+  // so the branching step skips them. Like the node LPs, each probe is
+  // also capped at the slot's view of the remaining iteration budget
+  // (`iters_base` is the epoch-start committed total). Pure slot-local
+  // work: bit-identical for any worker count.
   void strong_branch_probes(Worker& w, lp::DualSimplex& eng,
                             const lp::LpResult& rel, double best_obj,
-                            SlotResult& out) {
+                            int64_t iters_base, SlotResult& out) {
     // Candidates: the same best-priority-tier fractional variables
     // pick_branch_var will choose from (one shared rule), restricted to
     // the unreliable ones, best pseudocost scores first.
@@ -783,7 +783,9 @@ class EpochSearch {
 
     const double threshold = prune_threshold_for(best_obj, opt_.relative_gap);
     const int saved_iters = eng.iteration_limit();
-    eng.set_iteration_limit(kStrongBranchIterations);
+    const auto iters_left = [&] {
+      return opt_.max_lp_iterations - iters_base - out.lp_iterations;
+    };
     for (const Cand& c : cands) {
       const int j = c.var;
       const double frac = rel.x[j];
@@ -796,6 +798,9 @@ class EpochSearch {
         const bool side_ok = dir == 0 ? floor_val >= lo - 1e-12
                                       : floor_val + 1.0 <= hi + 1e-12;
         if (!side_ok) continue;
+        if (iters_left() <= 0) break;
+        eng.set_iteration_limit(static_cast<int>(
+            std::min<int64_t>(kStrongBranchIterations, iters_left())));
         if (dir == 0)
           eng.set_var_bounds(j, lo, floor_val);
         else
@@ -968,7 +973,13 @@ class EpochSearch {
           if (fit < static_cast<double>(cap))
             cap = std::max(256, static_cast<int>(fit));
         }
-        eng.set_iteration_limit(cap);
+        // The deterministic work limit binds every node LP, the root's
+        // included: cap it at the slot's view of the remaining budget
+        // (positive here, or the check above would have requeued). The cap
+        // only binds in a run whose committed total reaches the limit at
+        // this epoch's barrier anyway.
+        eng.set_iteration_limit(static_cast<int>(std::min<int64_t>(
+            cap, opt_.max_lp_iterations - iters_base - out.lp_iterations)));
       }
       // Dual objective cutoff: a node whose relaxation bound crosses the
       // incumbent prune threshold is discarded anyway, so let the dual
@@ -1040,7 +1051,7 @@ class EpochSearch {
         }
         sb_reset(w);
         if (sb_base + out.strong_branches < kStrongBranchBudget)
-          strong_branch_probes(w, eng, rel, best_obj, out);
+          strong_branch_probes(w, eng, rel, best_obj, iters_base, out);
       }
 
       double est_down = 0.0, est_up = 0.0;
@@ -1082,8 +1093,7 @@ class EpochSearch {
       const double cur_lo = eng.var_lower(bv);
       const double cur_hi = eng.var_upper(bv);
       const double f = frac - floor_val;
-      const bool down_first =
-          opt_.pseudocost_branching ? est_down <= est_up : f <= 0.5;
+      const bool down_first = est_down <= est_up;
       const bool down_ok =
           floor_val >= cur_lo - 1e-12 && !sb_pruned(w, 0, bv);
       const bool up_ok =
@@ -1233,7 +1243,6 @@ class EpochSearch {
   MilpOptions opt_;
   const IncumbentHeuristic& heuristic_;
   Clock::time_point start_;
-  int epoch_width_ = 4;
   int tree_workers_ = 1;
   std::vector<int> int_vars_;
 
@@ -1293,7 +1302,7 @@ int resolve_tree_threads(const MilpOptions& options) {
     const unsigned hw = std::thread::hardware_concurrency();
     n = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  return std::clamp(n, 1, std::max(1, options.epoch_width));
+  return std::clamp(n, 1, kEpochWidth);
 }
 
 MilpResult branch_and_bound(const lp::LinearProgram& lp,

@@ -28,8 +28,6 @@ MilpResult solve_milp(const lp::LinearProgram& lp, const MilpOptions& options,
       robust::Deadline::sooner(opts.simplex.deadline, opts.deadline);
   if (!opts.simplex.cancel.active()) opts.simplex.cancel = opts.cancel;
 
-  if (!opts.presolve) return branch_and_bound(lp, opts, heuristic);
-
   PresolveResult pre = presolve(lp);
   if (pre.stats.proven_infeasible) {
     MilpResult res;

@@ -1,9 +1,11 @@
-// Mixed-integer linear program solver: branch & bound over the warm-started
-// dual simplex engine, with presolve and pseudocost branching.
+// Mixed-integer linear program solver: presolve, then branch & cut over the
+// warm-started dual simplex engine.
 //
 // This is the "off-the-shelf MILP solver" substrate the Checkmate paper
-// outsources to Gurobi / COIN-OR CBC; here it is built from scratch. Design
-// choices that matter for the rematerialization workload:
+// outsources to Gurobi / COIN-OR CBC; here it is built from scratch, and
+// it has one configuration: every mechanism below always runs (only the
+// limits, the gap and the caller's inputs are options). Design choices
+// that matter for the rematerialization workload:
 //   - a presolve pass (bound propagation, fixings, redundant-row removal)
 //     shrinks the LP before the first factorization -- the Checkmate
 //     formulation carries many structurally-forced zeros (e.g. the S
@@ -16,7 +18,11 @@
 //   - pseudocost branching (with caller priority tiers preserved): observed
 //     per-unit objective degradations steer the search toward decisions
 //     that move the dual bound; unobserved variables degrade gracefully to
-//     most-fractional ordering;
+//     most-fractional ordering. Reliability branching strong-branches the
+//     candidates with too few observations, under fixed probe budgets;
+//   - root cut rounds (Gomory mixed-integer cuts from the root tableau,
+//     plus cover/clique cuts when the caller passes a cut_structure) and
+//     root reduced-cost fixing, re-armed by every incumbent improvement;
 //   - the tree search is an epoch-lockstep deterministic parallel branch &
 //     bound (milp/branch_and_bound.h): worker threads each own a simplex
 //     engine, nodes warm-start from their parent's basis snapshot, a dive
@@ -51,71 +57,45 @@ struct MilpOptions {
   double relative_gap = 1e-6;
   int64_t max_nodes = 10'000'000;
   // Deterministic work limit: stop once the cumulative simplex iteration
-  // count crosses this value. Unlike the wall-clock limit, runs with the
-  // same limit explore identical trees on every machine.
+  // count reaches this value. Every LP solve of the search -- the root LP,
+  // the root cut rounds, node LPs and strong-branch probes -- is capped at
+  // the budget left at its epoch's start less its slot's own work, so a
+  // one-slot epoch (the root's) never crosses the limit, while each slot of
+  // a wider epoch may spend that whole remainder. Unlike the wall-clock
+  // limit, runs with the same limit explore identical trees on every
+  // machine.
   int64_t max_lp_iterations = std::numeric_limits<int64_t>::max();
-  // Run the presolve pass before the search (see milp/presolve.h).
-  bool presolve = true;
   // Worker threads for the in-solve tree search (0 = one per hardware
-  // thread, clamped to epoch_width). The search is an epoch-lockstep
-  // parallel branch & bound (milp/branch_and_bound.h): the explored tree,
-  // node counts, incumbents and the deterministic work-limit semantics
-  // (max_nodes, max_lp_iterations) are bit-identical for EVERY value of
-  // num_threads -- only wall-clock time changes. The one exception is
-  // wall-clock truncation itself: a run that hits time_limit_sec stops at
-  // a machine-dependent point, exactly as in the serial solver. Values
-  // above epoch_width buy nothing (an epoch never has more concurrent
-  // node solves than its width).
+  // thread, clamped to the epoch width of milp/branch_and_bound.cpp). The
+  // search is an epoch-lockstep parallel branch & bound
+  // (milp/branch_and_bound.h): the explored tree, node counts, incumbents
+  // and the deterministic work-limit semantics (max_nodes,
+  // max_lp_iterations) are bit-identical for EVERY value of num_threads --
+  // only wall-clock time changes. The one exception is wall-clock
+  // truncation itself: a run that hits time_limit_sec stops at a
+  // machine-dependent point, exactly as in the serial solver. Values above
+  // the epoch width buy nothing (an epoch never has more concurrent node
+  // solves than its width).
   int num_threads = 0;
-  // Nodes deterministically popped from the shared queue per lockstep
-  // epoch. Unlike num_threads this IS part of the search semantics:
-  // changing the width changes which nodes are explored (a wider epoch
-  // expands more frontier nodes against the same epoch-start incumbent).
-  // Values < 1 are clamped to 1.
-  int epoch_width = 4;
-  // Pseudocost-driven branching; disable to fall back to most-fractional
-  // (the pre-overhaul behavior, kept for ablation).
-  bool pseudocost_branching = true;
-  // Root reduced-cost fixing: after the root LP (and again on every
-  // incumbent improvement), permanently fix integer variables whose root
-  // reduced cost proves no improving solution exists on the other side of
-  // their bound. Fixings feed through the presolve clamp helpers onto the
-  // search's working LP, so every later node (and every snapshot restore)
-  // inherits them. Deterministic: fixings are derived from committed state
-  // only and applied at epoch barriers.
-  bool root_reduced_cost_fixing = true;
-  // ---- Branch & cut. Separation needs a structural view of the problem
+  // Branch & cut. Separation needs a structural view of the problem
   // (milp/cuts.h); callers that have one (the Checkmate formulation layer)
   // pass it here, non-owning, and it must outlive the solve. With a
-  // structure present and cut_separation on, the search runs rounds of
-  // root separation after the root LP, node-local separation inside the
-  // worker dives every few depths, and commits/ages the cut pool at epoch
-  // barriers in slot order -- all deterministic for any num_threads. Cut
-  // rows are appended to the working LP as the pool selects them and stay
-  // for the rest of the solve: the LP only grows, so every parent basis
-  // snapshot covers a prefix of its rows (lp/simplex.h). The cadences and
-  // budgets are constants in milp/branch_and_bound.cpp; kMaxCutsTotal
-  // bounds how far the row count can grow.
+  // structure present the search runs cover/clique separation in the root
+  // cut rounds and inside the worker dives every few depths; Gomory
+  // mixed-integer cuts from the root tableau need no structure and join
+  // the root rounds of every MILP (never tree nodes: a tableau cut derived
+  // under branching bounds would only be locally valid). The pool commits
+  // cuts at epoch barriers in slot order -- deterministic for any
+  // num_threads. Cut rows are appended to the working LP as the pool
+  // selects them and stay for the rest of the solve: the LP only grows, so
+  // every parent basis snapshot covers a prefix of its rows
+  // (lp/simplex.h). The cadences and budgets are constants in
+  // milp/branch_and_bound.cpp; kMaxCutsTotal bounds how far the row count
+  // can grow.
   const FormulationStructure* cut_structure = nullptr;
-  bool cut_separation = true;
-  // Gomory mixed-integer cuts read from the root simplex tableau,
-  // interleaved with the knapsack separators during the root cut rounds
-  // (never at tree nodes: tableau cuts derived under branching bounds
-  // would only be locally valid). Shares the pool's dedup/aging/selection
-  // machinery and the total cut budget.
-  bool gomory_cuts = true;
-  // ---- Reliability branching. Until a variable has a few pseudocost
-  // observations per direction it is considered unreliable: the branching
-  // candidate scan strong-branches unreliable candidates with
-  // objective_limit-capped probe solves on the worker's own engine (the
-  // probe stops the moment the dual bound clears the incumbent prune
-  // threshold), feeding the observed degradations into the pseudocosts --
-  // after which the existing pseudocost machinery takes over. Probes are
-  // slot-local pure work committed through the ordinary pseudocost
-  // observation channel, so the bit-identity contract is untouched.
-  bool reliability_branching = true;
   // Stop as soon as any incumbent is found (feasibility problems, e.g. the
-  // max-batch-size search of Section 6.4).
+  // max-batch-size search of Section 6.4). Such a search never reaches
+  // bound pruning, so it runs no cut rounds and no strong-branch probes.
   bool stop_at_first_incumbent = false;
   // Caller-guaranteed lower bound on the optimal objective (-inf = none).
   // Once an incumbent is within relative_gap of this bound the search
@@ -165,7 +145,7 @@ struct MilpResult : lp::SolveStats {
   double root_relaxation = lp::kInf;
   std::vector<double> x;           // incumbent (empty if none)
   double seconds = 0.0;
-  PresolveStats presolve;          // zeroed when presolve was disabled
+  PresolveStats presolve;
 
   bool has_solution() const { return !x.empty(); }
   double gap() const {

@@ -383,7 +383,7 @@ PlanOutcome PlanService::plan_robust_ladder(const RematProblem& problem,
         std::lock_guard lock(stats_mu_);
         ++stats_.queries;
         ++stats_.formulation_misses;
-        if (options.presolve) ++stats_.presolve_runs;
+        ++stats_.presolve_runs;
       }
       ScheduleResult res = solve_optimal_ilp(problem, budget_bytes,
                                              solve_options, known_lower_bound);

@@ -84,8 +84,7 @@ struct ServiceStats {
   // MILP solves run. A staircase answer (store hit or shortcut) or a
   // shared single-flight outcome is not a query.
   int64_t queries = 0;
-  // One formulation build per solve, and one presolve per solve with
-  // IlpSolveOptions::presolve set.
+  // One formulation build and one presolve per solve: both equal queries.
   int64_t formulation_misses = 0;
   int64_t presolve_runs = 0;
   // Always 0: every solve builds and presolves fresh, and the service no

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ilp_builder.h"
-#include "core/remat_problem.h"
+#include "milp/branch_and_bound.h"
 
 #include <chrono>
 #include <cmath>
 #include <optional>
 #include <random>
+#include <string>
 
 namespace checkmate::milp {
 namespace {
@@ -76,11 +76,9 @@ TEST(Milp, WeightedKnapsack) {
   // Gomory root cuts can close the gap entirely, so the reported root
   // bound is <= the optimum; the PURE relaxation stays strictly better.
   EXPECT_LE(res.root_relaxation, -19.0 + 1e-6);
-  auto opts = bounded();
-  opts.cut_separation = false;
-  auto pure = solve_milp(lp, opts);
-  ASSERT_EQ(pure.status, MilpStatus::kOptimal);
-  EXPECT_LT(pure.root_relaxation, -19.0);  // relaxation strictly better
+  auto pure = lp::solve_lp(lp);
+  ASSERT_EQ(pure.status, lp::LpStatus::kOptimal);
+  EXPECT_LT(pure.objective, -19.0);  // relaxation strictly better
 }
 
 TEST(Milp, InfeasibleIntegrality) {
@@ -239,18 +237,12 @@ TEST(Milp, RootReducedCostFixingFiresAndKeepsOptimum) {
                    {4, 1.0},
                    {5, 1.0}}),
             3.0);
-  MilpOptions opts = bounded();
-  opts.presolve = false;  // keep the root LP nontrivial for the fixing
-  auto res = solve_milp(lp, opts);
+  // The search runs on the raw LP, without presolve, so the root LP stays
+  // nontrivial for the fixing.
+  auto res = branch_and_bound(lp, bounded(), {});
   ASSERT_EQ(res.status, MilpStatus::kOptimal);
   EXPECT_NEAR(res.objective, 1.0 + 2.0 + 3.0, 1e-6);
   EXPECT_GT(res.root_fixings, 0);
-
-  opts.root_reduced_cost_fixing = false;
-  auto off = solve_milp(lp, opts);
-  ASSERT_EQ(off.status, MilpStatus::kOptimal);
-  EXPECT_NEAR(off.objective, res.objective, 1e-9);
-  EXPECT_EQ(off.root_fixings, 0);
 }
 
 TEST(Milp, RootReducedCostFixingMatchesBruteForceOnCorpus) {
@@ -319,8 +311,8 @@ TEST(Milp, NodeLimitReturnsFeasibleOrNoSolution) {
 }
 
 // ---------------------------------------------------------------------
-// Solver-overhaul machinery: pseudocost branching, node selection modes,
-// warm starts, and the deterministic/wall-clock limit semantics.
+// Search machinery: brute-force oracles, warm starts, and the
+// deterministic/wall-clock limit semantics.
 
 // A family of random binary programs that is non-trivial for branch &
 // bound (fractional relaxations, several constraints).
@@ -342,62 +334,31 @@ LinearProgram random_binary_program(uint32_t seed, int n, int m) {
   return lp;
 }
 
-TEST(Milp, PseudocostBranchingPreservesOptimumWithBoundedNodes) {
-  // Regression for the branching overhaul: pseudocosts must return the
-  // exact optimum of the most-fractional rule, and the tree must stay far
-  // below enumeration scale (2^16 assignments here).
-  for (uint32_t seed : {11u, 17u, 23u, 31u, 47u}) {
-    LinearProgram lp = random_binary_program(seed, 16, 3);
-    MilpOptions pc = bounded(), frac = bounded();
-    pc.pseudocost_branching = true;
-    frac.pseudocost_branching = false;
-    auto res_pc = solve_milp(lp, pc);
-    auto res_frac = solve_milp(lp, frac);
-    ASSERT_EQ(res_pc.status, MilpStatus::kOptimal) << "seed " << seed;
-    ASSERT_EQ(res_frac.status, MilpStatus::kOptimal) << "seed " << seed;
-    EXPECT_NEAR(res_pc.objective, res_frac.objective, 1e-6)
-        << "seed " << seed;
-    EXPECT_LE(res_pc.nodes, 1 << 12) << "seed " << seed;
-  }
-}
-
-TEST(Milp, PseudocostBranchingShrinksTreeOnRematInstance) {
-  // On the structured Checkmate instances (the workload the default is
-  // tuned for) pseudocosts must explore no more nodes than the
-  // most-fractional rule did, at an identical optimum.
-  auto p = RematProblem::unit_training_chain(6);  // n = 13
-  IlpBuildOptions build;
-  build.budget_bytes = 5.0;  // tight budget: forces real search
-  IlpFormulation f(p, build);
-  MilpOptions pc = bounded(), frac = bounded();
-  pc.branch_priority = frac.branch_priority = f.branch_priorities();
-  pc.pseudocost_branching = true;
-  frac.pseudocost_branching = false;
-  auto res_pc = solve_milp(f.lp(), pc);
-  auto res_frac = solve_milp(f.lp(), frac);
-  ASSERT_EQ(res_pc.status, MilpStatus::kOptimal);
-  ASSERT_EQ(res_frac.status, MilpStatus::kOptimal);
-  EXPECT_NEAR(res_pc.objective, res_frac.objective, 1e-6);
-  EXPECT_LE(res_pc.nodes, res_frac.nodes);
-}
-
 TEST(Milp, OptimumMatchesBruteForceEnumeration) {
-  // Oracle check of the tree search: enumerate all 2^14 assignments of
-  // each program and require the solver to prove the same optimum.
-  const int n = 14;
-  for (uint32_t seed : {3u, 9u, 27u}) {
-    LinearProgram lp = random_binary_program(seed, n, 2);
+  // Oracle check of the tree search: enumerate all 2^n assignments of
+  // each program and require the solver to prove the same optimum. The
+  // tree must also stay far below enumeration scale.
+  struct Case {
+    uint32_t seed;
+    int n, m;
+  };
+  for (const Case& c : {Case{3u, 14, 2}, Case{9u, 14, 2}, Case{27u, 14, 2},
+                        Case{11u, 16, 3}, Case{17u, 16, 3}, Case{23u, 16, 3},
+                        Case{31u, 16, 3}, Case{47u, 16, 3}}) {
+    SCOPED_TRACE("seed " + std::to_string(c.seed));
+    LinearProgram lp = random_binary_program(c.seed, c.n, c.m);
     double best = kInf;
-    std::vector<double> x(n);
-    for (uint32_t mask = 0; mask < (1u << n); ++mask) {
-      for (int j = 0; j < n; ++j) x[j] = (mask >> j) & 1u;
+    std::vector<double> x(c.n);
+    for (uint32_t mask = 0; mask < (1u << c.n); ++mask) {
+      for (int j = 0; j < c.n; ++j) x[j] = (mask >> j) & 1u;
       if (lp.max_violation(x) <= 1e-9)
         best = std::min(best, lp.objective_value(x));
     }
-    ASSERT_LT(best, kInf) << "seed " << seed;
+    ASSERT_LT(best, kInf);
     auto res = solve_milp(lp, bounded());
-    ASSERT_EQ(res.status, MilpStatus::kOptimal) << "seed " << seed;
-    EXPECT_NEAR(res.objective, best, 1e-6) << "seed " << seed;
+    ASSERT_EQ(res.status, MilpStatus::kOptimal);
+    EXPECT_NEAR(res.objective, best, 1e-6);
+    EXPECT_LE(res.nodes, 1 << 12);
   }
 }
 

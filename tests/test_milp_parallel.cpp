@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "core/ilp_builder.h"
 #include "core/remat_problem.h"
@@ -116,7 +119,6 @@ TEST(MilpParallel, RootFixingAndSteepestEdgeInvariantAcrossWorkerCounts) {
   for (int threads : {1, 2, 4}) {
     MilpOptions opts = bounded();
     opts.branch_priority = f.branch_priorities();
-    opts.root_reduced_cost_fixing = true;
     opts.num_threads = threads;
     auto res = solve_milp(f.lp(), opts);
     ASSERT_EQ(res.status, MilpStatus::kOptimal) << "threads " << threads;
@@ -146,6 +148,58 @@ TEST(MilpParallel, DeterministicIterationLimitAcrossWorkerCounts) {
     else
       expect_identical(*reference, res,
                        "iter-limit threads " + std::to_string(threads));
+  }
+}
+
+TEST(MilpParallel, IterationLimitBindsRootLpAndCutRounds) {
+  // The deterministic work limit caps the root LP and the root cut rounds,
+  // not only the tree. Without the caps the root epoch alone runs 960
+  // pivots on the chain (one root LP) and 394 on the training chain (root
+  // LP, probes and cut rounds), whatever the limit. Limits 1 and 100 stop
+  // inside the root LP. On the training chain the root LP takes ~212
+  // pivots, so 220 stops inside the root's strong-branch probes and 300
+  // inside its cut rounds. A run must stop at the limit -- at the same
+  // point for every worker count, with a sound bound under the seeded
+  // incumbent.
+  struct Case {
+    const char* name;
+    RematProblem problem;
+    IlpFormulationKind formulation;
+    double budget;
+    std::vector<int64_t> limits;
+  };
+  const Case cases[] = {
+      {"unit_chain(480) interval", RematProblem::unit_chain(480),
+       IlpFormulationKind::kInterval, 6.0, {1, 100}},
+      {"unit_training_chain(6) dense", RematProblem::unit_training_chain(6),
+       IlpFormulationKind::kDense, 5.0, {1, 100, 220, 300}},
+  };
+  for (const Case& c : cases) {
+    Scheduler sched(c.problem);
+    for (int64_t limit : c.limits) {
+      std::optional<ScheduleResult> reference;
+      for (int threads : {1, 2, 4}) {
+        SCOPED_TRACE(std::string(c.name) + " limit " + std::to_string(limit) +
+                     " threads " + std::to_string(threads));
+        IlpSolveOptions opts;
+        opts.time_limit_sec = 60.0;
+        opts.formulation = c.formulation;
+        opts.max_lp_iterations = limit;
+        opts.num_threads = threads;
+        const auto res = sched.solve_optimal_ilp(c.budget, opts);
+        ASSERT_TRUE(res.feasible) << res.message;
+        EXPECT_LE(res.lp_iterations, limit);
+        EXPECT_LE(res.best_bound, res.cost);
+        if (!reference) {
+          reference = res;
+          continue;
+        }
+        EXPECT_EQ(static_cast<const lp::SolveStats&>(*reference),
+                  static_cast<const lp::SolveStats&>(res));
+        EXPECT_EQ(reference->cost, res.cost);
+        EXPECT_EQ(reference->best_bound, res.best_bound);
+      }
+    }
   }
 }
 
@@ -223,32 +277,13 @@ TEST(MilpParallel, MatchesBruteForceWithFourWorkers) {
   }
 }
 
-TEST(MilpParallel, EpochWidthChangesTreeButNeverTheOptimum) {
-  // epoch_width IS part of the search semantics (unlike num_threads):
-  // different widths may explore different trees but must agree on the
-  // proven optimum.
-  LinearProgram lp = random_binary_program(59u, 18, 3);
-  std::optional<double> reference;
-  for (int width : {1, 2, 4, 8}) {
-    MilpOptions opts = bounded();
-    opts.epoch_width = width;
-    opts.num_threads = 2;
-    auto res = solve_milp(lp, opts);
-    ASSERT_EQ(res.status, MilpStatus::kOptimal) << "width " << width;
-    if (!reference)
-      reference = res.objective;
-    else
-      EXPECT_NEAR(res.objective, *reference, 1e-6) << "width " << width;
-  }
-}
-
 TEST(MilpParallel, ResolveTreeThreadsAlwaysPositive) {
   MilpOptions opts;
   opts.num_threads = 0;  // auto: hardware count, but never 0
   EXPECT_GE(resolve_tree_threads(opts), 1);
-  EXPECT_LE(resolve_tree_threads(opts), std::max(1, opts.epoch_width));
-  opts.num_threads = 64;  // clamped to the epoch width
-  EXPECT_EQ(resolve_tree_threads(opts), opts.epoch_width);
+  EXPECT_LE(resolve_tree_threads(opts), 4);
+  opts.num_threads = 64;  // clamped to the epoch width, 4
+  EXPECT_EQ(resolve_tree_threads(opts), 4);
   opts.num_threads = -3;
   EXPECT_GE(resolve_tree_threads(opts), 1);
 }

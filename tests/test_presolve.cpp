@@ -14,6 +14,7 @@
 #include "core/ilp_builder.h"
 #include "core/rounding.h"
 #include "core/solution.h"
+#include "milp/branch_and_bound.h"
 #include "milp/milp.h"
 
 namespace checkmate::milp {
@@ -164,11 +165,9 @@ TEST(Presolve, ChecksmateFormulationShrinksButKeepsOptimum) {
   EXPECT_GT(pre.stats.rows_removed, 0);
   EXPECT_LT(pre.lp.num_rows(), f.lp().num_rows());
 
-  MilpOptions on = bounded(), off = bounded();
-  on.presolve = true;
-  off.presolve = false;
-  auto r_on = solve_milp(f.lp(), on);
-  auto r_off = solve_milp(f.lp(), off);
+  // The unpresolved reference: the same search on the raw LP.
+  auto r_on = solve_milp(f.lp(), bounded());
+  auto r_off = branch_and_bound(f.lp(), bounded(), {});
   ASSERT_EQ(r_on.status, MilpStatus::kOptimal);
   ASSERT_EQ(r_off.status, MilpStatus::kOptimal);
   EXPECT_NEAR(r_on.objective, r_off.objective, 1e-6);
@@ -416,9 +415,9 @@ TEST(Presolve, MatchesBruteForceOracleOnCorpus) {
       build.budget_bytes = budget;
       IlpFormulation f(inst.problem, build);
       for (bool with_presolve : {true, false}) {
-        MilpOptions opts = bounded();
-        opts.presolve = with_presolve;
-        auto res = solve_milp(f.lp(), opts);
+        // Without presolve: the same search on the raw LP.
+        auto res = with_presolve ? solve_milp(f.lp(), bounded())
+                                 : branch_and_bound(f.lp(), bounded(), {});
         ASSERT_EQ(res.status, MilpStatus::kOptimal)
             << inst.problem.name << " budget " << budget << " presolve "
             << with_presolve;

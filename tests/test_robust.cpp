@@ -282,9 +282,9 @@ TEST(PlanRobust, DeadlineFreeMatchesColdSolve) {
 // The cost cap (Eq. 10) binds every rung, not just the MILP: a capped
 // query whose search is truncated before it finds a plan must not fall
 // back to a heuristic schedule above the cap. At the compute-floor cap and
-// a budget below checkpoint-all's peak, every baseline busts the cap.
-// Presolve is off so the one-pivot search ends without a proof; with it
-// on, presolve proves the capped dense instance infeasible, and the
+// a budget below checkpoint-all's peak, every baseline busts the cap. On
+// the interval backend the one-pivot search ends without a proof; on the
+// dense backend presolve proves the capped instance infeasible, and the
 // service returns the same typed proof as the Scheduler.
 TEST(PlanRobust, HeuristicFallbackRespectsTheCostCap) {
   auto p = RematProblem::unit_training_chain(8);
@@ -298,7 +298,7 @@ TEST(PlanRobust, HeuristicFallbackRespectsTheCostCap) {
   IlpSolveOptions opts;
   opts.cost_cap = p.total_cost_all_nodes();
   opts.max_lp_iterations = 1;
-  opts.presolve = false;
+  opts.formulation = IlpFormulationKind::kInterval;
   service::PlanService svc;
   const auto out = svc.plan_robust(p, budget, opts);
   if (out.result.feasible) {
@@ -308,8 +308,10 @@ TEST(PlanRobust, HeuristicFallbackRespectsTheCostCap) {
   // Below the cap nothing fits, and the search proved nothing.
   EXPECT_EQ(out.provenance, service::PlanProvenance::kInfeasible);
   EXPECT_FALSE(out.result.proven_infeasible);
+  EXPECT_EQ(out.result.message,
+            "no plan found: search failed and no heuristic schedule fits");
 
-  opts.presolve = true;
+  opts.formulation = IlpFormulationKind::kDense;
   const auto proof = svc.plan_robust(p, budget, opts);
   const auto ref = sched.solve_optimal_ilp(budget, opts);
   ASSERT_TRUE(ref.proven_infeasible) << ref.message;

