@@ -79,17 +79,21 @@ fi
 # arithmetic; test_cuts covers the Gomory separator's accumulator indexing
 # and the cut-row append path of branch & cut; test_milp covers the
 # single-thread search: branching, root reduced-cost fixing and the
-# work-limit truncation paths.
+# work-limit truncation paths; test_milp_parallel covers the snapshot
+# chains the worker threads share (a delta keeps its parent alive through
+# a shared_ptr, and a lifetime bug there is a use-after-free TSan may not
+# report).
 if [ "$CHECK_TIER" = "full" ]; then
   ASAN_DIR="${ASAN_BUILD_DIR:-build-asan}"
   cmake -B "$ASAN_DIR" -S . "${GENERATOR_FLAGS[@]}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCHECKMATE_ASAN=ON \
     -DCHECKMATE_FAULT_INJECTION=ON
   cmake --build "$ASAN_DIR" -j --target test_chaos test_robust \
-    test_plan_store test_simplex test_lu test_presolve test_cuts test_milp
+    test_plan_store test_simplex test_lu test_presolve test_cuts test_milp \
+    test_milp_parallel
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$ASAN_DIR" \
-    -R 'test_chaos|test_robust|test_plan_store|test_simplex|test_lu|test_presolve|test_cuts|test_milp$' \
+    -R 'test_chaos|test_robust|test_plan_store|test_simplex|test_lu|test_presolve|test_cuts|test_milp$|test_milp_parallel' \
     --output-on-failure
 fi
 

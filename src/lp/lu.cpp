@@ -197,10 +197,10 @@ void LuFactorization::reset_identity(int m) {
   lt_idx_.clear();
   ut_ptr_.assign(m + 1, 0);
   ut_idx_.clear();
-  // Any accumulated Forrest-Tomlin state is superseded.
+  // Any accumulated Forrest-Tomlin state is superseded. urows_/ucols_ are
+  // dead until ensure_mutable() refills them; their inner vectors keep
+  // their capacity for that.
   mutable_u_ = false;
-  urows_.clear();
-  ucols_.clear();
   r_etas_.clear();
   eta_nnz_ = 0;
   u_nnz_ = 0;
@@ -513,8 +513,12 @@ void LuFactorization::btran(WorkVector& y) const {
 
 void LuFactorization::ensure_mutable() {
   if (mutable_u_) return;
-  urows_.assign(m_, {});
-  ucols_.assign(m_, {});
+  // Clear rather than reallocate: the mirrors are rebuilt after every
+  // refactorization, and the entries land in the same order either way.
+  urows_.resize(m_);
+  ucols_.resize(m_);
+  for (auto& row : urows_) row.clear();
+  for (auto& col : ucols_) col.clear();
   diag_ = u_diag_;
   order_.resize(m_);
   pos_of_.resize(m_);

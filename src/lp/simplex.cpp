@@ -1,12 +1,15 @@
 #include "lp/simplex.h"
 
 #include <algorithm>
+#include <bit>
+#include <climits>
 #include <chrono>
 #include <cstddef>
 #include <cmath>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "robust/fault_injection.h"
 
@@ -45,6 +48,55 @@ constexpr double kPerturbation = 1e-8;
 // the bound's magnitude multiplies into floating-point cancellation error
 // (~bound * 1e-16) during pivoting.
 constexpr double kArtificialBound = 1e7;
+
+// The keyframe rule's depth cap: a snapshot whose chain would hold more
+// deltas than this is captured as a keyframe. The byte half of the rule
+// (a chain's deltas never outweigh a full copy) keeps restore() within ~2x
+// a keyframe copy; this cap bounds the pointer walk and the recursion of a
+// chain's shared_ptr release. It sits high enough that chains of small
+// deltas on the large LPs end at the byte bound first.
+constexpr int kMaxDeltaDepth = 128;
+
+// Equality of the stored bits: snapshot deltas must be lossless, so a
+// steepest-edge weight or a bound that differs only in the sign of zero or
+// a NaN payload still counts as a difference.
+template <class T>
+bool same_bits(T a, T b) {
+  if constexpr (std::is_floating_point_v<T>)
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  else
+    return a == b;
+}
+
+// Diffs cur[0, len) against a base state given as `overlay` over a
+// keyframe: base[p] is the overlay's value where it has one, key(p)
+// elsewhere. `next` receives every position where cur differs from the
+// keyframe (the overlay once cur becomes the base), `edits` every position
+// where cur differs from the base; both ascend. The overlay covers only
+// positions below len (rows are only ever appended).
+template <class T, class Key, class E>
+void diff_state(const T* cur, int len, const Key& key, const E& overlay,
+                E& next, E& edits) {
+  next.clear();
+  for (int p = 0; p < len; ++p)
+    if (!same_bits(cur[p], key(p))) next.push(p, cur[p]);
+  for (size_t a = 0, b = 0; a < next.size() || b < overlay.size();) {
+    const int pa = a < next.size() ? next.pos[a] : INT_MAX;
+    const int pb = b < overlay.size() ? overlay.pos[b] : INT_MAX;
+    if (pa < pb) {
+      edits.push(pa, next.val[a++]);  // the base holds the keyframe's value
+      continue;
+    }
+    if (!same_bits(cur[pb], overlay.val[b])) edits.push(pb, cur[pb]);
+    if (pa == pb) ++a;
+    ++b;
+  }
+}
+
+template <class E, class T>
+void apply_edits(const E& edits, T* state) {
+  for (size_t k = 0; k < edits.size(); ++k) state[edits.pos[k]] = edits.val[k];
+}
 
 // Sorts a work vector's index list and drops repeats (after scatters).
 void sort_unique(std::vector<int>& idx) {
@@ -294,41 +346,175 @@ void DualSimplex::sync_rows() {
   xb_dirty_ = true;
 }
 
-BasisSnapshot DualSimplex::snapshot() const {
-  BasisSnapshot s;
-  s.valid = basis_valid_;
-  s.num_rows = m_;
-  s.scaling_hash = scaling_hash_;
-  // Bound overrides are captured even before the first solve (invalid
-  // basis): a clone taken after set_var_bounds but before solve() must
-  // still see the same feasible region as the original. Overrides and free
-  // values are stored in the TRUE frame (scale factors are powers of two,
-  // so the round trip through the scaled frame is exact); that keeps
-  // snapshots portable across engines with different scale vectors.
+size_t BasisSnapshot::bytes() const {
+  const auto held = [](const auto& v) {
+    return v.capacity() *
+           sizeof(typename std::decay_t<decltype(v)>::value_type);
+  };
+  return sizeof(*this) + held(status_) + held(basic_var_) + held(dse_) +
+         held(bounds_) + held(bounds_cleared_) + held(status_edits_.pos) +
+         held(status_edits_.val) + held(basic_edits_.pos) +
+         held(basic_edits_.val) + held(dse_edits_.pos) +
+         held(dse_edits_.val) + held(free_values_);
+}
+
+void DualSimplex::current_overrides(std::vector<BoundOverride>& out) const {
+  // Captured even before the first solve (invalid basis): a clone taken
+  // after set_var_bounds but before solve() must still see the same
+  // feasible region as the original.
+  out.clear();
   for (int j = 0; j < num_total(); ++j) {
     const double base_lo =
         (j < n_ ? lp_->lb[j] : lp_->row_lb[j - n_]) / scale_[j];
     const double base_hi =
         (j < n_ ? lp_->ub[j] : lp_->row_ub[j - n_]) / scale_[j];
     if (lo_[j] != base_lo || hi_[j] != base_hi)
-      s.bounds.push_back({j, lo_[j] * scale_[j], hi_[j] * scale_[j]});
+      out.push_back({j, lo_[j] * scale_[j], hi_[j] * scale_[j]});
   }
-  if (!s.valid) return s;
-  s.status.assign(status_.begin(), status_.end());
-  s.basic_var = basic_var_;
-  s.dse_weights = dse_w_;
-  s.used_artificial_bound = used_artificial_bound_;
+}
+
+std::shared_ptr<BasisSnapshot> DualSimplex::new_snapshot() const {
+  auto s = std::make_shared<BasisSnapshot>();
+  s->valid_ = basis_valid_;
+  s->num_rows_ = m_;
+  s->scaling_hash_ = scaling_hash_;
+  if (!s->valid_) return s;
+  s->used_artificial_bound_ = used_artificial_bound_;
   for (int j = 0; j < num_total(); ++j)
     if (status_[j] == kFree && x_[j] != 0.0)
-      s.free_values.emplace_back(j, x_[j] * scale_[j]);
+      s->free_values_.emplace_back(j, x_[j] * scale_[j]);
   return s;
 }
 
-void DualSimplex::restore(const BasisSnapshot& snap) {
+std::shared_ptr<BasisSnapshot> DualSimplex::capture_keyframe(
+    std::vector<BoundOverride> bounds) const {
+  std::shared_ptr<BasisSnapshot> s = new_snapshot();
+  s->bounds_ = std::move(bounds);
+  if (!s->valid_) return s;
+  s->status_ = status_;
+  s->basic_var_ = basic_var_;
+  s->dse_ = dse_w_;
+  return s;
+}
+
+bool DualSimplex::capture_delta(BasisSnapshot& s,
+                                const std::vector<BoundOverride>& bounds) {
+  const BasisSnapshot& key = *base_key_;
+  const int km = key.num_rows_;
+  const int klen = n_ + km;
+  // Rows the keyframe lacks read as freshly appended: slack basic in its
+  // own row at unit weight (restore() materializes them the same way).
+  diff_state(
+      status_.data(), num_total(),
+      [&](int p) {
+        return p < klen ? key.status_[p] : static_cast<int8_t>(kBasic);
+      },
+      status_ov_, next_status_ov_, s.status_edits_);
+  diff_state(
+      basic_var_.data(), m_,
+      [&](int i) { return i < km ? key.basic_var_[i] : n_ + i; }, basic_ov_,
+      next_basic_ov_, s.basic_edits_);
+  diff_state(
+      dse_w_.data(), m_, [&](int i) { return i < km ? key.dse_[i] : 1.0; },
+      dse_ov_, next_dse_ov_, s.dse_edits_);
+  // Bound overrides: both lists ascend by column.
+  for (size_t a = 0, b = 0; a < bounds.size() || b < base_bounds_.size();) {
+    const int ca = a < bounds.size() ? bounds[a].col : INT_MAX;
+    const int cb = b < base_bounds_.size() ? base_bounds_[b].col : INT_MAX;
+    if (ca < cb) {
+      s.bounds_.push_back(bounds[a++]);
+    } else if (cb < ca) {
+      s.bounds_cleared_.push_back(base_bounds_[b++].col);
+    } else {
+      if (!same_bits(bounds[a].lo, base_bounds_[b].lo) ||
+          !same_bits(bounds[a].hi, base_bounds_[b].hi))
+        s.bounds_.push_back(bounds[a]);
+      ++a;
+      ++b;
+    }
+  }
+  // The snapshot may outlive many others: hold no spare capacity.
+  s.status_edits_.shrink_to_fit();
+  s.basic_edits_.shrink_to_fit();
+  s.dse_edits_.shrink_to_fit();
+  s.bounds_.shrink_to_fit();
+  s.bounds_cleared_.shrink_to_fit();
+  s.parent_ = base_;
+  s.depth_ = base_->depth_ + 1;
+  s.chain_bytes_ = base_->chain_bytes_ + s.bytes();
+  const size_t keyframe_bytes =
+      sizeof(BasisSnapshot) + static_cast<size_t>(num_total()) +
+      static_cast<size_t>(m_) * (sizeof(int) + sizeof(double)) +
+      bounds.size() * sizeof(BoundOverride) +
+      s.free_values_.size() * sizeof(s.free_values_[0]);
+  return s.chain_bytes_ <= keyframe_bytes;
+}
+
+std::shared_ptr<const BasisSnapshot> DualSimplex::snapshot() {
+  current_overrides(bounds_scratch_);
+  if (basis_valid_ && base_ && base_->depth_ < kMaxDeltaDepth) {
+    std::shared_ptr<BasisSnapshot> s = new_snapshot();
+    if (capture_delta(*s, bounds_scratch_)) {
+      std::swap(status_ov_, next_status_ov_);
+      std::swap(basic_ov_, next_basic_ov_);
+      std::swap(dse_ov_, next_dse_ov_);
+      base_bounds_.swap(bounds_scratch_);
+      base_ = s;
+      return s;
+    }
+  }
+  auto s = capture_keyframe(bounds_scratch_);
+  status_ov_.clear();
+  basic_ov_.clear();
+  dse_ov_.clear();
+  if (s->valid_) {
+    base_bounds_.swap(bounds_scratch_);
+    base_ = s;
+    base_key_ = s.get();
+  } else {
+    base_ = nullptr;
+    base_key_ = nullptr;
+  }
+  return s;
+}
+
+void DualSimplex::restore(const std::shared_ptr<const BasisSnapshot>& snap) {
   // Adopt any rows appended to the working LP since this engine last saw
   // it; the snapshot may have been captured before those rows existed (a
   // parent basis restored into a child LP that has more cuts).
   sync_rows();
+  static const BasisSnapshot kInvalid;
+  const BasisSnapshot& s = snap ? *snap : kInvalid;
+  // The chain, keyframe first; its deltas apply in that order.
+  std::vector<const BasisSnapshot*>& chain = chain_scratch_;
+  chain.clear();
+  for (const BasisSnapshot* p = &s; p != nullptr; p = p->parent_.get())
+    chain.push_back(p);
+  std::reverse(chain.begin(), chain.end());
+  const BasisSnapshot& key = *chain.front();
+  // The snapshot's full override list (ascending by column): the
+  // keyframe's, with each delta's edits merged in.
+  base_bounds_ = key.bounds_;
+  for (size_t c = 1; c < chain.size(); ++c) {
+    const BasisSnapshot& d = *chain[c];
+    bounds_scratch_.clear();
+    size_t a = 0, b = 0, k = 0;
+    while (a < base_bounds_.size() || b < d.bounds_.size()) {
+      const int ca = a < base_bounds_.size() ? base_bounds_[a].col : INT_MAX;
+      const int cb = b < d.bounds_.size() ? d.bounds_[b].col : INT_MAX;
+      if (cb <= ca) {
+        bounds_scratch_.push_back(d.bounds_[b++]);
+        if (cb == ca) ++a;
+        continue;
+      }
+      while (k < d.bounds_cleared_.size() && d.bounds_cleared_[k] < ca) ++k;
+      if (k < d.bounds_cleared_.size() && d.bounds_cleared_[k] == ca)
+        ++a;
+      else
+        bounds_scratch_.push_back(base_bounds_[a++]);
+    }
+    base_bounds_.swap(bounds_scratch_);
+  }
   // Basis membership, statuses, bound overrides, and free values are all
   // frame-independent (the numeric ones are stored in the true frame), so
   // a snapshot restores correctly into an engine with a different scale
@@ -337,7 +523,7 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
   // deterministic, just a different pricing trajectory. Engines that must
   // stay bit-identical (branch & bound workers) share a scale vector by
   // construction via LinearProgram::scaling_rows.
-  const bool same_frame = snap.scaling_hash == scaling_hash_;
+  const bool same_frame = s.scaling_hash_ == scaling_hash_;
   // Reset bounds to the base LP (scaled), then overlay the snapshot's
   // overrides (true frame -- see snapshot()). The engine constructor
   // may never have run make_initial_basis, and a prior make_initial_basis
@@ -354,7 +540,7 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
   stall_count_ = 0;
   price_dirty_ = true;
   std::fill(d_.begin(), d_.end(), 0.0);
-  for (const auto& b : snap.bounds) {
+  for (const auto& b : base_bounds_) {
     // Only structural overrides apply: branch decisions only ever target
     // structural columns, and slack bounds always come from the LP's rows.
     if (b.col < n_) {
@@ -362,9 +548,12 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
       hi_[b.col] = b.hi / scale_[b.col];
     }
   }
+  status_ov_.clear();
+  basic_ov_.clear();
+  dse_ov_.clear();
   // Cold start: the fresh-engine state, keeping the bound overrides
   // applied above -- always correct, just slower.
-  if (!snap.valid || snap.num_rows > m_) {
+  if (!s.valid_ || s.num_rows_ > m_) {
     basis_valid_ = false;
     needs_refactor_ = false;
     d_dirty_ = false;
@@ -375,28 +564,35 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
     std::fill(x_.begin(), x_.end(), 0.0);
     std::fill(basic_var_.begin(), basic_var_.end(), -1);
     dse_w_.assign(m_, 1.0);
+    base_ = nullptr;
+    base_key_ = nullptr;
     return;
   }
 
   // Prefix path: the snapshot's rows are the first rows of the LP (cut
-  // rows only ever append). Adopt the basis directly and make the newer
-  // rows' slacks basic, exactly the state a freshly appended cut row
-  // enters in.
-  std::copy(snap.status.begin(), snap.status.end(), status_.begin());
-  std::copy(snap.basic_var.begin(), snap.basic_var.end(), basic_var_.begin());
-  for (int i = snap.num_rows; i < m_; ++i) {
+  // rows only ever append). Adopt the keyframe, make the newer rows' slacks
+  // basic -- exactly the state a freshly appended cut row enters in --
+  // then replay the deltas, whose rows are all within the snapshot's.
+  const int km = key.num_rows_;
+  std::copy(key.status_.begin(), key.status_.end(), status_.begin());
+  std::copy(key.basic_var_.begin(), key.basic_var_.end(), basic_var_.begin());
+  for (int i = km; i < m_; ++i) {
     status_[n_ + i] = kBasic;
     basic_var_[i] = n_ + i;
   }
-  if (same_frame &&
-      static_cast<int>(snap.dse_weights.size()) == snap.num_rows) {
-    std::copy(snap.dse_weights.begin(), snap.dse_weights.end(),
-              dse_w_.begin());
-    std::fill(dse_w_.begin() + snap.num_rows, dse_w_.end(), 1.0);
+  for (size_t c = 1; c < chain.size(); ++c) {
+    apply_edits(chain[c]->status_edits_, status_.data());
+    apply_edits(chain[c]->basic_edits_, basic_var_.data());
+  }
+  if (same_frame) {
+    std::copy(key.dse_.begin(), key.dse_.end(), dse_w_.begin());
+    std::fill(dse_w_.begin() + km, dse_w_.end(), 1.0);
+    for (size_t c = 1; c < chain.size(); ++c)
+      apply_edits(chain[c]->dse_edits_, dse_w_.data());
   } else {
     dse_w_.assign(m_, 1.0);
   }
-  used_artificial_bound_ = snap.used_artificial_bound;
+  used_artificial_bound_ = s.used_artificial_bound_;
   for (int j = 0; j < num_total(); ++j) {
     if (status_[j] == kBasic) continue;
     if (status_[j] == kFree)
@@ -404,16 +600,50 @@ void DualSimplex::restore(const BasisSnapshot& snap) {
     else
       x_[j] = status_[j] == kNonbasicUpper ? hi_[j] : lo_[j];
   }
-  for (const auto& [j, v] : snap.free_values) x_[j] = v / scale_[j];
+  for (const auto& [j, v] : s.free_values_) x_[j] = v / scale_[j];
   basis_valid_ = true;
   needs_refactor_ = true;  // LU rebuilt lazily by the next solve()
   d_dirty_ = true;
   xb_dirty_ = true;
+
+  // The restored snapshot becomes the delta base of the next capture
+  // (a foreign-frame one cannot: its weights were not adopted). Where the
+  // base may differ from its keyframe is where the chain's deltas wrote.
+  if (!same_frame) {
+    base_ = nullptr;
+    base_key_ = nullptr;
+    return;
+  }
+  base_ = snap;
+  base_key_ = &key;
+  const auto overlay = [&](auto edits, const auto* state, auto& out) {
+    for (size_t c = 1; c < chain.size(); ++c) {
+      const auto& e = chain[c]->*edits;
+      out.pos.insert(out.pos.end(), e.pos.begin(), e.pos.end());
+    }
+    if (chain.size() > 2) {
+      std::sort(out.pos.begin(), out.pos.end());
+      out.pos.erase(std::unique(out.pos.begin(), out.pos.end()),
+                    out.pos.end());
+    }
+    out.val.resize(out.pos.size());
+    for (size_t k = 0; k < out.pos.size(); ++k)
+      out.val[k] = state[out.pos[k]];
+  };
+  overlay(&BasisSnapshot::status_edits_, status_.data(), status_ov_);
+  overlay(&BasisSnapshot::basic_edits_, basic_var_.data(), basic_ov_);
+  overlay(&BasisSnapshot::dse_edits_, dse_w_.data(), dse_ov_);
+}
+
+std::shared_ptr<const BasisSnapshot> DualSimplex::keyframe() const {
+  std::vector<BoundOverride> bounds;
+  current_overrides(bounds);
+  return capture_keyframe(std::move(bounds));
 }
 
 DualSimplex DualSimplex::clone() const {
   DualSimplex copy(*lp_, opt_);
-  copy.restore(snapshot());
+  copy.restore(keyframe());
   return copy;
 }
 

@@ -44,6 +44,7 @@
 // or fill growth crosses its limit, or an update is rejected as unstable.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -132,55 +133,127 @@ inline SolveStats operator-(SolveStats now, const SolveStats& base) {
 std::ostream& operator<<(std::ostream& os, const SolveStats& stats);
 
 // Engine-independent capture of the warm-start-relevant simplex state:
-// basis status, the basic-position assignment, bound overrides relative to
-// the base LinearProgram, and the values of free nonbasic columns. The LU
-// factors are deliberately NOT captured -- a restoring engine refactorizes
-// lazily on its next solve(), so a snapshot is a few dozen KB
-// even for the large rematerialization LPs and two sibling B&B nodes can
-// share one via shared_ptr. Restoring into ANY engine built over the same
-// LinearProgram (same options) yields the same solve trajectory, which is
-// what lets the parallel tree search hand a child node to whichever worker
-// thread picks it up.
-struct BasisSnapshot {
-  struct BoundOverride {
-    int col;  // structural j in [0, n) or slack n + row
-    double lo, hi;
-  };
+// basis status, the basic-position assignment, the dual steepest-edge
+// weights, bound overrides relative to the base LinearProgram, and the
+// values of free nonbasic columns. The LU factors are deliberately NOT
+// captured -- a restoring engine refactorizes lazily on its next solve().
+// Restoring into ANY engine built over the same LinearProgram (same
+// options) yields the same solve trajectory, which is what lets the
+// parallel tree search hand a child node to whichever worker thread picks
+// it up.
+//
+// A snapshot is either a keyframe, holding the full state (one status
+// byte per column, a basis position and a weight per row: ~77 KB at the
+// average 5,300-row rematerialization LP), or a lossless delta against a
+// parent snapshot it keeps alive through a shared_ptr. A delta stores only
+// the statuses, basis positions and weights (compared bitwise) that differ
+// from the parent, the bound-override edits, the free values and the
+// state of rows appended since the parent. Two consecutive node snapshots
+// of one engine differ in a handful of statuses and basis positions and a
+// few hundred weights, so an open branch-and-bound node costs a few KB
+// instead of a full copy, and peak memory stops tracking the node count.
+// DualSimplex::snapshot() decides the form by the keyframe rule (see
+// kMaxDeltaDepth in simplex.cpp): a keyframe when there is no usable
+// parent (the engine's first capture, a capture after a cold start or a
+// foreign-frame restore, every clone()), when the chain's deltas plus this
+// one would outweigh a full copy, or when the chain would pass the fixed
+// depth. Restoring therefore copies at most ~2x a keyframe, and the
+// recursive release of a chain stays shallow. Snapshots are immutable once
+// captured and may be shared across threads.
+class BasisSnapshot {
+ public:
+  // An invalid snapshot: restore() resets the engine to its
+  // freshly-constructed state (the next solve builds the slack basis).
+  BasisSnapshot() = default;
+
+  // False before the engine's first solve: such a snapshot carries only
+  // bound overrides and restores to the fresh-engine state.
+  bool valid() const { return valid_; }
   // Row count of the LP when the snapshot was captured. The working LP of
   // branch & cut is append-only -- cut rows join between epochs and stay
   // for the rest of the solve -- so a snapshot's rows are always the first
-  // num_rows rows of the LP it restores into. restore() adopts the basis
+  // num_rows() rows of the LP it restores into. restore() adopts the basis
   // and makes the newer rows' slacks basic; a snapshot over more rows than
   // the LP (never produced by branch & cut) cold-starts from the slack
   // basis with the structural bound overrides kept. Either way the
   // restored state is a pure function of (snapshot, current LP), which is
   // the parallel-search determinism contract.
-  int num_rows = 0;
-  std::vector<int8_t> status;                       // size n + num_rows
-  std::vector<int> basic_var;                       // size num_rows
-  std::vector<BoundOverride> bounds;                // cols differing from the LP
-  std::vector<std::pair<int, double>> free_values;  // x of kFree columns
-  // Dual steepest-edge weights by basis position (size num_rows when
-  // captured).
-  // The weights approximate ||B^-T e_i||^2 of the captured basis, so
-  // carrying them keeps exact pricing quality across the parallel B&B's
-  // snapshot/restore handoffs; a restoring engine without them (invalid or
-  // foreign snapshot) deterministically resets to the unit frame -- either
-  // way the post-restore trajectory is a pure function of the snapshot,
-  // preserving the bit-identity contract.
-  std::vector<double> dse_weights;
-  // Hash of the engine's Curtis-Reid scale exponents. Everything numeric
-  // in the snapshot is stored in the TRUE frame (exactly, since the scale
-  // factors are powers of two) except the steepest-edge weights, which are
-  // norms in the scaled frame: on a scaling-identity mismatch restore()
-  // resets them to the unit frame instead of carrying garbage. Engines
-  // over the same LinearProgram (same scaling_rows prefix) always agree,
-  // so the bit-exact clone/restore contract is unaffected.
-  uint64_t scaling_hash = 0;
-  bool used_artificial_bound = false;
-  // False (the default-constructed snapshot): restore() resets the engine
-  // to its freshly-constructed state (next solve builds the slack basis).
-  bool valid = false;
+  int num_rows() const { return num_rows_; }
+  bool is_keyframe() const { return parent_ == nullptr; }
+  // Deltas between this snapshot and its keyframe (0 for a keyframe).
+  int depth() const { return depth_; }
+  // Bytes this snapshot holds itself (the object and its arrays), without
+  // the ancestors it keeps alive.
+  size_t bytes() const;
+
+ private:
+  friend class DualSimplex;
+
+  struct BoundOverride {
+    int col;  // structural j in [0, n) or slack n + row
+    double lo, hi;
+  };
+  // Sparse assignments to one state array, ascending by position.
+  template <class T>
+  struct Edits {
+    std::vector<int> pos;
+    std::vector<T> val;
+    size_t size() const { return pos.size(); }
+    void clear() {
+      pos.clear();
+      val.clear();
+    }
+    void push(int p, T v) {
+      pos.push_back(p);
+      val.push_back(v);
+    }
+    void shrink_to_fit() {
+      pos.shrink_to_fit();
+      val.shrink_to_fit();
+    }
+  };
+
+  // Null for a keyframe.
+  std::shared_ptr<const BasisSnapshot> parent_;
+  int depth_ = 0;
+  // bytes() summed over the deltas from the keyframe (exclusive) to this
+  // snapshot: what a restore copies beyond the keyframe itself.
+  size_t chain_bytes_ = 0;
+
+  int num_rows_ = 0;
+  // Hash of the capturing engine's Curtis-Reid scale exponents. Everything
+  // numeric is stored in the TRUE frame (exactly, since the scale factors
+  // are powers of two) except the steepest-edge weights, which are norms
+  // in the scaled frame: on a scaling-identity mismatch restore() resets
+  // them to the unit frame instead of carrying garbage. Engines over the
+  // same LinearProgram (same scaling_rows prefix) always agree, so the
+  // bit-exact clone/restore contract is unaffected. A chain never mixes
+  // frames.
+  uint64_t scaling_hash_ = 0;
+  bool used_artificial_bound_ = false;
+  bool valid_ = false;
+
+  // Keyframe: the full state. status_ has n + num_rows entries,
+  // basic_var_ and dse_ num_rows; bounds_ lists every column whose bounds
+  // differ from the LP's. The weights approximate ||B^-T e_i||^2 of the
+  // captured basis by basis position, so carrying them keeps exact pricing
+  // quality across the parallel B&B's snapshot/restore handoffs.
+  std::vector<int8_t> status_;
+  std::vector<int> basic_var_;
+  std::vector<double> dse_;
+  // Keyframe: every override. Delta: the overrides added or changed since
+  // the parent (bounds_cleared_ lists the ones dropped).
+  std::vector<BoundOverride> bounds_;
+  std::vector<int> bounds_cleared_;
+  // Delta: assignments over the parent's state, in which the slacks of
+  // rows the parent did not have are basic in their own row with unit
+  // weight (the state a freshly appended cut row enters in).
+  Edits<int8_t> status_edits_;
+  Edits<int> basic_edits_;
+  Edits<double> dse_edits_;
+  // x of kFree nonbasic columns, in full (sparse; empty on the
+  // rematerialization LPs).
+  std::vector<std::pair<int, double>> free_values_;
 };
 
 class DualSimplex {
@@ -209,10 +282,12 @@ class DualSimplex {
   // Solves (or re-solves after bound changes) to optimality.
   LpResult solve();
 
-  // Captures the current basis + bound state (see BasisSnapshot). Taken
-  // before the first solve() the snapshot is marked invalid and restores to
-  // the fresh-engine state.
-  BasisSnapshot snapshot() const;
+  // Captures the current basis + bound state (see BasisSnapshot): a delta
+  // against the snapshot this engine last restored or captured, or a
+  // keyframe by the keyframe rule. Either way the content is the full
+  // state; only its storage differs. Taken before the first solve() the
+  // snapshot is marked invalid and restores to the fresh-engine state.
+  std::shared_ptr<const BasisSnapshot> snapshot();
 
   // Adopts a snapshot previously captured from this engine or any clone
   // over the same LinearProgram: bounds are reset to the base LP and the
@@ -220,10 +295,15 @@ class DualSimplex {
   // factorization is rebuilt lazily on the next solve(). Reduced costs are
   // cleared (recomputed on the next solve), so the post-restore trajectory
   // is independent of this engine's prior history -- the determinism
-  // contract the parallel branch & bound relies on.
-  void restore(const BasisSnapshot& snap);
+  // contract the parallel branch & bound relies on. Null restores like an
+  // invalid snapshot.
+  void restore(const std::shared_ptr<const BasisSnapshot>& snap);
 
-  // A fresh engine over the same LinearProgram restored to snapshot().
+  // A keyframe of the current state, standalone; unlike snapshot() it
+  // leaves this engine's delta base alone.
+  std::shared_ptr<const BasisSnapshot> keyframe() const;
+
+  // A fresh engine over the same LinearProgram restored to keyframe().
   // Iteration accounting starts at zero in the clone; each engine's
   // iterations_total() is monotone over its own solves only.
   DualSimplex clone() const;
@@ -267,6 +347,9 @@ class DualSimplex {
   double basic_value(int pos) const {
     return xb_[pos] * scale_[basic_var_[pos]];
   }
+  // Dual steepest-edge weight of basis position `pos` (scaled frame; part
+  // of the state a snapshot carries).
+  double edge_weight(int pos) const { return dse_w_[pos]; }
   // Value of a nonbasic column, unscaled (bound or free value).
   double nonbasic_value(int col) const { return x_[col] * scale_[col]; }
   // Simplex tableau row of basis position `pos`: every nonbasic column
@@ -301,6 +384,23 @@ class DualSimplex {
   // scaling_hash_; all-ones when the ranges are already balanced enough
   // that every rounded factor is 1).
   void compute_scaling(const LinearProgram& lp);
+
+  using BoundOverride = BasisSnapshot::BoundOverride;
+  // Columns whose current bounds differ from the LP's, in the true frame
+  // (scale factors are powers of two, so the round trip is exact; that
+  // keeps snapshots portable across engines with different scale vectors).
+  void current_overrides(std::vector<BoundOverride>& out) const;
+  // A snapshot holding the header and the free values (the fields both
+  // forms store in full).
+  std::shared_ptr<BasisSnapshot> new_snapshot() const;
+  // A keyframe of the current state with the given override list.
+  std::shared_ptr<BasisSnapshot> capture_keyframe(
+      std::vector<BoundOverride> bounds) const;
+  // Fills `s`'s delta arrays with the current state's difference from
+  // base_ and reports whether they stay within the keyframe rule;
+  // next_*_ receive where the current state differs from base_key_.
+  bool capture_delta(BasisSnapshot& s,
+                     const std::vector<BoundOverride>& bounds);
   // Partial pricing: rebuilds the leaving-row candidate list with a full
   // deterministic scan (worst violations by dse-scaled score).
   void rebuild_price_list();
@@ -380,6 +480,21 @@ class DualSimplex {
   // Running dual-objective estimate during a solve() (incremented by each
   // pivot's theta*delta and each flip's d*step); trigger-only, see solve().
   double z_est_ = -kInf;
+
+  // Delta-snapshot base: the snapshot this engine last restored or
+  // captured (null when the next capture must be a keyframe), its keyframe,
+  // and base_'s content relative to that keyframe: the *_ov_ edits cover
+  // every position where base_ may differ from base_key_ (sparse; bounded
+  // by the keyframe rule), and base_bounds_ is base_'s full override list.
+  // The current state is diffed against "overlay over keyframe" at capture,
+  // so no full copy of the base state is kept.
+  std::shared_ptr<const BasisSnapshot> base_;
+  const BasisSnapshot* base_key_ = nullptr;
+  BasisSnapshot::Edits<int8_t> status_ov_, next_status_ov_;
+  BasisSnapshot::Edits<int> basic_ov_, next_basic_ov_;
+  BasisSnapshot::Edits<double> dse_ov_, next_dse_ov_;
+  std::vector<BoundOverride> base_bounds_, bounds_scratch_;
+  std::vector<const BasisSnapshot*> chain_scratch_;
 
   // Dual steepest-edge weights by basis position (approximate
   // ||B^-T e_i||^2; reset to the unit frame on make_initial_basis and on

@@ -385,9 +385,10 @@ class EpochSearch {
       shared_base_ = static_cast<int>(arena_.size());
       // Deterministic work-limit projection: split the remaining global
       // node/iteration budget evenly across the epoch's slots (the slot
-      // count is worker-count independent), so the committed totals
-      // overshoot a limit by at most one LP solve per slot instead of a
-      // full dive per slot.
+      // count is worker-count independent), so the committed node total
+      // overshoots its limit by at most one node per slot instead of a
+      // full dive per slot (the iteration total is made exact by
+      // replay_over_limit).
       const auto share = [&](int64_t limit, int64_t used) {
         if (limit == std::numeric_limits<int64_t>::max()) return limit;
         const int64_t remaining = std::max<int64_t>(0, limit - used);
@@ -398,6 +399,7 @@ class EpochSearch {
       slot_iter_allowance_ =
           share(opt_.max_lp_iterations, result_.lp_iterations);
       run_epoch(slots, results);
+      replay_over_limit(slots, results);
       const bool had_root = !root_done_;
       commit(results);
       // Root separation rounds: re-solve the root LP against successive
@@ -426,6 +428,25 @@ class EpochSearch {
 
     // Truncated: account every open subtree so best_bound stays sound.
     for (const OpenNode& n : open_) open_bound_ = std::min(open_bound_, n.bound);
+  }
+
+  // Exact iteration limit. An epoch's slots run side by side, each capped
+  // at the epoch-start remainder of max_lp_iterations, so together they
+  // may cross it. Such an epoch is discarded and its slots replayed one at
+  // a time in slot order, each capped at what the earlier ones left. A
+  // slot's result depends only on its start node and the frozen shared
+  // state, so the replay is deterministic; epochs that stay under the
+  // limit are kept as they ran.
+  void replay_over_limit(const std::vector<OpenNode>& slots,
+                         std::vector<SlotResult>& results) {
+    int64_t spent = 0;
+    for (const SlotResult& r : results) spent += r.lp_iterations;
+    if (spent <= opt_.max_lp_iterations - result_.lp_iterations) return;
+    int64_t iters_base = result_.lp_iterations;
+    for (size_t i = 0; i < slots.size(); ++i) {
+      results[i] = guarded_slot(0, slots[i], iters_base);
+      iters_base += results[i].lp_iterations;
+    }
   }
 
   void commit(std::vector<SlotResult>& results) {
@@ -579,7 +600,7 @@ class EpochSearch {
       };
       // Re-solves the root from its latest basis.
       const auto solve_root = [&] {
-        eng.restore(*root_snap_);
+        eng.restore(root_snap_);
         eng.set_objective_limit(lp::kInf);  // the root is never pruned
         eng.set_time_limit(std::max(0.01, remaining_sec()));
         eng.set_iteration_limit(static_cast<int>(
@@ -634,7 +655,7 @@ class EpochSearch {
         result_.root_relaxation = rel.objective;
         root_x_ = rel.x;
         root_redcost_ = eng.structural_reduced_costs();
-        root_snap_ = std::make_shared<const lp::BasisSnapshot>(eng.snapshot());
+        root_snap_ = eng.snapshot();
       }
       result_ += eng.stats() - stats0;
     } catch (const std::exception&) {
@@ -753,7 +774,7 @@ class EpochSearch {
   // out.pc_obs into the committed store; sides proven prunable are flagged
   // so the branching step skips them. Like the node LPs, each probe is
   // also capped at the slot's view of the remaining iteration budget
-  // (`iters_base` is the epoch-start committed total). Pure slot-local
+  // (`iters_base`: see process_slot). Pure slot-local
   // work: bit-identical for any worker count.
   void strong_branch_probes(Worker& w, lp::DualSimplex& eng,
                             const lp::LpResult& rel, double best_obj,
@@ -856,9 +877,12 @@ class EpochSearch {
   // Processes one popped node on worker `wid`: restore the parent basis,
   // reapply the node's root path, then dive depth-first. Reads only frozen
   // shared state (arena_ up to shared_base_, pc_, the epoch-start
-  // result_.{objective,nodes,lp_iterations}) -- everything it produces goes
-  // through the SlotResult for ordered commit.
-  SlotResult process_slot(int wid, const OpenNode& start) {
+  // result_.{objective,nodes}) -- everything it produces goes
+  // through the SlotResult for ordered commit. `iters_base` is the
+  // committed iteration total the slot's work limit counts from: the
+  // epoch-start total, or in a replay also the earlier slots' pivots.
+  SlotResult process_slot(int wid, const OpenNode& start,
+                          int64_t iters_base) {
     Worker& w = workers_[static_cast<size_t>(wid)];
     if (!w.engine)
       w.engine = std::make_unique<lp::DualSimplex>(lp_, opt_.simplex);
@@ -871,7 +895,7 @@ class EpochSearch {
     const int64_t dive_cap =
         (cuts_on_ && start.path < 0) ? 1 : kMaxDiveNodes;
 
-    eng.restore(start.warm ? *start.warm : lp::BasisSnapshot{});
+    eng.restore(start.warm);
     {
       // Reapply the node's bound changes root -> leaf. start.path always
       // points into the committed arena (children created this epoch are
@@ -910,7 +934,6 @@ class EpochSearch {
     w.pc = pc_;
     double best_obj = result_.objective;  // epoch-start incumbent (or +inf)
     const int64_t nodes_base = result_.nodes;
-    const int64_t iters_base = result_.lp_iterations;
     const int64_t sb_base = result_.strong_branches;
 
     struct Cursor {
@@ -933,8 +956,7 @@ class EpochSearch {
       n.branch_var = cur.branch_var;
       n.branch_up = cur.branch_up;
       n.branch_frac = cur.branch_frac;
-      n.warm = cur.warm ? cur.warm
-                        : std::make_shared<lp::BasisSnapshot>(eng.snapshot());
+      n.warm = cur.warm ? cur.warm : eng.snapshot();
       out.children.push_back(std::move(n));
     };
 
@@ -977,7 +999,8 @@ class EpochSearch {
         // included: cap it at the slot's view of the remaining budget
         // (positive here, or the check above would have requeued). The cap
         // only binds in a run whose committed total reaches the limit at
-        // this epoch's barrier anyway.
+        // this epoch's barrier anyway, and replay_over_limit makes the
+        // epoch's total exact.
         eng.set_iteration_limit(static_cast<int>(std::min<int64_t>(
             cap, opt_.max_lp_iterations - iters_base - out.lp_iterations)));
       }
@@ -1005,9 +1028,7 @@ class EpochSearch {
           out.root_relaxation = rel.objective;
           out.root_x = rel.x;
           out.root_redcost = eng.structural_reduced_costs();
-          if (cuts_on_)
-            out.root_snap =
-                std::make_shared<const lp::BasisSnapshot>(eng.snapshot());
+          if (cuts_on_) out.root_snap = eng.snapshot();
         }
       }
       if (rel.status == lp::LpStatus::kInfeasible) break;
@@ -1118,9 +1139,7 @@ class EpochSearch {
       };
       std::shared_ptr<const lp::BasisSnapshot> parent_snap;
       auto snapshot_parent = [&]() {
-        if (!parent_snap)
-          parent_snap =
-              std::make_shared<const lp::BasisSnapshot>(eng.snapshot());
+        if (!parent_snap) parent_snap = eng.snapshot();
         return parent_snap;
       };
       auto make_open_child = [&](bool up) {
@@ -1157,11 +1176,12 @@ class EpochSearch {
   // reset -> per-node abandon). The worker's engine is discarded so the
   // next slot rebuilds it from the working LP instead of reusing
   // half-mutated state.
-  SlotResult guarded_slot(int wid, const OpenNode& start) {
+  SlotResult guarded_slot(int wid, const OpenNode& start,
+                          int64_t iters_base) {
     if (robust::fault(robust::FaultPoint::kWorkerStall))
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     try {
-      return process_slot(wid, start);
+      return process_slot(wid, start, iters_base);
     } catch (const std::exception&) {
       workers_[static_cast<size_t>(wid)].engine.reset();
       SlotResult out;
@@ -1187,7 +1207,7 @@ class EpochSearch {
         std::min<int>(tree_workers_, static_cast<int>(slots.size()));
     if (want <= 1) {
       for (size_t i = 0; i < slots.size(); ++i)
-        results[i] = guarded_slot(0, slots[i]);
+        results[i] = guarded_slot(0, slots[i], result_.lp_iterations);
       return;
     }
     ensure_pool(want - 1);
@@ -1229,7 +1249,8 @@ class EpochSearch {
     while (epoch_next_ < epoch_slot_count_) {
       const size_t i = epoch_next_++;
       lock.unlock();
-      (*epoch_results_)[i] = guarded_slot(wid, (*epoch_slots_)[i]);
+      (*epoch_results_)[i] =
+          guarded_slot(wid, (*epoch_slots_)[i], result_.lp_iterations);
       lock.lock();
       if (--epoch_pending_ == 0) pool_done_cv_.notify_all();
     }

@@ -59,9 +59,10 @@ struct MilpOptions {
   // Deterministic work limit: stop once the cumulative simplex iteration
   // count reaches this value. Every LP solve of the search -- the root LP,
   // the root cut rounds, node LPs and strong-branch probes -- is capped at
-  // the budget left at its epoch's start less its slot's own work, so a
-  // one-slot epoch (the root's) never crosses the limit, while each slot of
-  // a wider epoch may spend that whole remainder. Unlike the wall-clock
+  // the budget left at its epoch's start less its slot's own work; an
+  // epoch whose slots would together cross the limit is replayed one slot
+  // at a time, each capped at what the earlier ones left, so the committed
+  // total never exceeds the limit. Unlike the wall-clock
   // limit, runs with the same limit explore identical trees on every
   // machine.
   int64_t max_lp_iterations = std::numeric_limits<int64_t>::max();

@@ -158,9 +158,11 @@ TEST(MilpParallel, IterationLimitBindsRootLpAndCutRounds) {
   // LP, probes and cut rounds), whatever the limit. Limits 1 and 100 stop
   // inside the root LP. On the training chain the root LP takes ~212
   // pivots, so 220 stops inside the root's strong-branch probes and 300
-  // inside its cut rounds. A run must stop at the limit -- at the same
-  // point for every worker count, with a sound bound under the seeded
-  // incumbent.
+  // inside its cut rounds; 400 and 500 stop in the tree, where an epoch's
+  // four slots together would cross the limit (406 and 519 pivots) unless
+  // the epoch is replayed slot by slot. A run must stop at the limit -- at
+  // the same point for every worker count, with a sound bound under the
+  // seeded incumbent.
   struct Case {
     const char* name;
     RematProblem problem;
@@ -172,7 +174,7 @@ TEST(MilpParallel, IterationLimitBindsRootLpAndCutRounds) {
       {"unit_chain(480) interval", RematProblem::unit_chain(480),
        IlpFormulationKind::kInterval, 6.0, {1, 100}},
       {"unit_training_chain(6) dense", RematProblem::unit_training_chain(6),
-       IlpFormulationKind::kDense, 5.0, {1, 100, 220, 300}},
+       IlpFormulationKind::kDense, 5.0, {1, 100, 220, 300, 400, 500}},
   };
   for (const Case& c : cases) {
     Scheduler sched(c.problem);

@@ -269,7 +269,7 @@ TEST(DualSimplex, SnapshotRestoreRoundTripOnSameEngine) {
   solver.set_var_bounds(2, 1.0, 2.0);
   const LpResult at_snap = solver.solve();
   ASSERT_EQ(at_snap.status, LpStatus::kOptimal);
-  const BasisSnapshot snap = solver.snapshot();
+  const auto snap = solver.snapshot();
 
   // Wander off...
   solver.set_var_bounds(2, 0.0, 0.0);
@@ -298,15 +298,15 @@ TEST(DualSimplex, InvalidSnapshotRestoresFreshEngine) {
   // bound overrides are gone.
   LinearProgram lp = clone_test_lp(8, 33u);
   DualSimplex never_solved(lp);
-  const BasisSnapshot unsolved = never_solved.snapshot();
-  EXPECT_FALSE(unsolved.valid);
+  const auto unsolved = never_solved.snapshot();
+  EXPECT_FALSE(unsolved->valid());
 
   DualSimplex solver(lp);
   ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
   const double clean_obj = solve_lp(lp).objective;
   solver.set_var_bounds(1, 3.0, 3.0);
   ASSERT_EQ(solver.solve().status, LpStatus::kOptimal);
-  solver.restore(BasisSnapshot{});
+  solver.restore(nullptr);
   const LpResult fresh = solver.solve();
   ASSERT_EQ(fresh.status, LpStatus::kOptimal);
   EXPECT_NEAR(fresh.objective, clean_obj, 1e-9);
@@ -342,7 +342,7 @@ TEST(DualSimplex, IterationAccountingMonotonePerEngine) {
   EXPECT_GT(prev, 0);
 
   std::mt19937 rng(5);
-  const BasisSnapshot snap = solver.snapshot();
+  const auto snap = solver.snapshot();
   for (int step = 0; step < 8; ++step) {
     const int j = static_cast<int>(rng() % 20);
     solver.set_var_bounds(j, 1.0, 2.0 + (rng() % 2));
@@ -455,8 +455,11 @@ TEST(DualSimplex, SnapshotCarriesSteepestEdgeWeights) {
   original.set_var_bounds(3, 1.0, 2.0);
   ASSERT_EQ(original.solve().status, LpStatus::kOptimal);
 
-  const BasisSnapshot snap = original.snapshot();
-  ASSERT_EQ(static_cast<int>(snap.dse_weights.size()), lp.num_rows());
+  const auto snap = original.snapshot();
+  // The engine's first capture is a keyframe: every row's weight.
+  ASSERT_TRUE(snap->valid());
+  ASSERT_TRUE(snap->is_keyframe());
+  ASSERT_EQ(snap->num_rows(), lp.num_rows());
 
   // Wander the original far away from the snapshot state.
   std::mt19937 rng(3);
@@ -510,9 +513,9 @@ TEST(DualSimplex, SnapshotRestoresAcrossRowCounts) {
   DualSimplex parent(lp);
   parent.set_var_bounds(2, 1.0, 3.0);  // a "branching path" override
   ASSERT_EQ(parent.solve().status, LpStatus::kOptimal);
-  const BasisSnapshot snap = parent.snapshot();
+  const auto snap = parent.snapshot();
   const int rows_at_capture = lp.num_rows();
-  ASSERT_EQ(snap.num_rows, rows_at_capture);
+  ASSERT_EQ(snap->num_rows(), rows_at_capture);
 
   lp.add_ge(std::vector<std::pair<int, double>>{{4, 1.0}, {5, 1.0}}, 3.0);
   lp.add_ge(std::vector<std::pair<int, double>>{{6, 1.0}, {7, 2.0}}, 4.0);
@@ -542,13 +545,13 @@ TEST(DualSimplex, SnapshotRestoresAcrossRowCounts) {
 TEST(DualSimplex, CrossRowCountRestoreIsBitIdenticalAndCarriesWeights) {
   // Two engines restored from the same pre-append snapshot over the grown
   // LP must follow bit-identical trajectories -- including the carried
-  // steepest-edge weights (snapshot.dse_weights covers the OLD rows; the
+  // steepest-edge weights (the snapshot's weights cover the OLD rows; the
   // appended rows deterministically start at the unit frame).
   LinearProgram lp = clone_test_lp(24, 37u);
   DualSimplex original(lp);
   ASSERT_EQ(original.solve().status, LpStatus::kOptimal);
-  const BasisSnapshot snap = original.snapshot();
-  ASSERT_EQ(static_cast<int>(snap.dse_weights.size()), snap.num_rows);
+  const auto snap = original.snapshot();
+  ASSERT_TRUE(snap->is_keyframe());
 
   lp.add_ge(std::vector<std::pair<int, double>>{{0, 1.0}, {3, 1.0}}, 4.0);
 
@@ -577,9 +580,9 @@ TEST(DualSimplex, RestoreOfSnapshotOverMoreRowsColdStarts) {
   DualSimplex big_engine(big);
   big_engine.set_var_bounds(1, 0.5, 2.0);
   ASSERT_EQ(big_engine.solve().status, LpStatus::kOptimal);
-  const BasisSnapshot snap = big_engine.snapshot();
-  ASSERT_TRUE(snap.valid);
-  ASSERT_GT(snap.num_rows, small.num_rows());
+  const auto snap = big_engine.snapshot();
+  ASSERT_TRUE(snap->valid());
+  ASSERT_GT(snap->num_rows(), small.num_rows());
 
   DualSimplex small_engine(small);
   small_engine.restore(snap);
@@ -596,6 +599,238 @@ TEST(DualSimplex, RestoreOfSnapshotOverMoreRowsColdStarts) {
   EXPECT_EQ(warm.x, cold.x);
   EXPECT_GE(warm.x[1], 0.5);
   EXPECT_LE(warm.x[1], 2.0);
+}
+
+// ---------------------------------------------------------------------
+// Delta snapshots: a capture stores only what differs from the snapshot
+// the engine last restored or captured, so what restore() rebuilds from a
+// chain must be a keyframe of the same state, bit for bit.
+
+// The restored state as an engine exposes it: bounds, statuses, and the
+// basis and steepest-edge weights by position.
+void expect_same_state(const DualSimplex& a, const DualSimplex& b, int n) {
+  ASSERT_EQ(a.num_rows(), b.num_rows());
+  int mismatches = 0;
+  for (int j = 0; j < n; ++j)
+    mismatches += a.var_lower(j) != b.var_lower(j) ||
+                  a.var_upper(j) != b.var_upper(j);
+  for (int c = 0; c < n + a.num_rows(); ++c)
+    mismatches += a.col_status(c) != b.col_status(c);
+  for (int p = 0; p < a.num_rows(); ++p)
+    mismatches += a.basic_col(p) != b.basic_col(p) ||
+                  a.edge_weight(p) != b.edge_weight(p);
+  EXPECT_EQ(mismatches, 0);
+}
+
+// Two engines restored to one state must solve identically in every
+// observable: status, objective, point and engine counters.
+void expect_same_solve(DualSimplex& a, DualSimplex& b) {
+  const LpResult ra = a.solve();
+  const LpResult rb = b.solve();
+  EXPECT_EQ(ra.status, rb.status);
+  EXPECT_EQ(ra.objective, rb.objective);
+  EXPECT_EQ(ra.iterations, rb.iterations);
+  EXPECT_EQ(ra.x, rb.x);
+  EXPECT_EQ(a.stats(), b.stats());
+}
+
+// Raises the lower bound of every step-th variable by one: a primal
+// infeasibility the dual simplex needs many pivots to repair, so the
+// steepest-edge weights steer the trajectory.
+void raise_every(DualSimplex& eng, int n, int step) {
+  for (int j = 0; j < n; j += step)
+    eng.set_var_bounds(j, eng.var_lower(j) + 1.0, eng.var_upper(j) + 1.0);
+}
+
+TEST(DualSimplex, LongDeltaChainRestoresLikeAKeyframe) {
+  // One link per "node": a bound change (every fifth one resets an
+  // earlier override to the LP's bounds, which the delta records as a
+  // cleared override; the others push a basic variable past its value), a
+  // re-solve cut off after two pivots (so statuses, basis positions and
+  // weights all move), and a capture against the previous snapshot. Every
+  // third link then restores that capture, as a branch-and-bound slot
+  // restores its start node, so the next capture diffs against a restored
+  // chain. The tail, restored into a fresh engine, must be a keyframe of
+  // the same state.
+  const int n = 6000;
+  LinearProgram lp = clone_test_lp(n, 43u);
+  DualSimplex eng(lp);
+  ASSERT_EQ(eng.solve().status, LpStatus::kOptimal);
+  std::shared_ptr<const BasisSnapshot> tail = eng.snapshot();
+  EXPECT_TRUE(tail->is_keyframe());
+  eng.set_iteration_limit(2);
+  std::mt19937 rng(7);
+  std::vector<int> moved;
+  int64_t pivots = 0;
+  for (int link = 0; link < 110; ++link) {
+    if (link % 5 == 4) {
+      const int j = moved[rng() % moved.size()];
+      eng.set_var_bounds(j, lp.lb[j], lp.ub[j]);
+    } else {
+      int pos = 0, j = n;
+      while (j >= n) {
+        pos = static_cast<int>(rng() % n);
+        j = eng.basic_col(pos);
+      }
+      const double lo = std::floor(eng.basic_value(pos)) + 1.0;
+      eng.set_var_bounds(j, lo, std::max(lo, eng.var_upper(j)) + 1.0);
+      moved.push_back(j);
+    }
+    pivots += eng.solve().iterations;
+    tail = eng.snapshot();
+    if (link % 3 == 0) eng.restore(tail);
+  }
+  ASSERT_GE(tail->depth(), 100);
+  EXPECT_GT(pivots, 100);
+  const std::shared_ptr<const BasisSnapshot> key = eng.keyframe();
+  ASSERT_TRUE(key->is_keyframe());
+
+  DualSimplex from_tail(lp), from_key(lp);
+  from_tail.restore(tail);
+  from_key.restore(key);
+  expect_same_state(from_tail, from_key, n);
+  raise_every(from_tail, n, 97);
+  raise_every(from_key, n, 97);
+  expect_same_solve(from_tail, from_key);
+  EXPECT_GT(from_key.iterations_total(), 20);
+}
+
+TEST(DualSimplex, DeltaAcrossAppendedCutRowsRestoresLikeAKeyframe) {
+  // Cut rows appended between a parent capture and its child's: the child
+  // delta covers more rows than its parent, and the parent (captured
+  // before the append) still restores into the grown LP with the new
+  // rows' slacks basic.
+  const int n = 300;
+  LinearProgram lp = clone_test_lp(n, 47u);
+  DualSimplex eng(lp);
+  ASSERT_EQ(eng.solve().status, LpStatus::kOptimal);
+  const auto root = eng.snapshot();
+  ASSERT_TRUE(root->is_keyframe());
+  eng.set_var_bounds(3, 1.0, 2.0);
+  const LpResult at_parent = eng.solve();
+  ASSERT_EQ(at_parent.status, LpStatus::kOptimal);
+  const auto parent = eng.snapshot();
+  const auto parent_key = eng.keyframe();
+  ASSERT_EQ(parent->depth(), 1);
+
+  const int rows = lp.num_rows();
+  lp.add_ge(terms({{0, 1.0}, {3, 1.0}}),
+            at_parent.x[0] + at_parent.x[3] + 1.0);
+  lp.add_ge(terms({{7, 1.0}, {8, 2.0}}), 5.0);
+  lp.add_ge(terms({{20, 1.0}, {21, 1.0}}), 0.0);  // slack at its bound
+  eng.set_var_bounds(9, 2.0, 4.0);
+  ASSERT_EQ(eng.solve().status, LpStatus::kOptimal);  // adopts the rows
+  const auto child = eng.snapshot();
+  ASSERT_EQ(child->depth(), 2);
+  ASSERT_EQ(child->num_rows(), rows + 3);
+
+  DualSimplex a(lp), b(lp);
+  a.restore(child);
+  b.restore(eng.keyframe());
+  expect_same_state(a, b, n);
+  raise_every(a, n, 7);
+  raise_every(b, n, 7);
+  expect_same_solve(a, b);
+
+  DualSimplex c(lp), d(lp);
+  c.restore(parent);
+  d.restore(parent_key);
+  expect_same_state(c, d, n);
+  for (int i = rows; i < rows + 3; ++i) {
+    EXPECT_EQ(c.basic_col(i), n + i);
+    EXPECT_EQ(c.col_status(n + i), DualSimplex::kBasic);
+    EXPECT_EQ(c.edge_weight(i), 1.0);
+  }
+  raise_every(c, n, 7);
+  raise_every(d, n, 7);
+  expect_same_solve(c, d);
+}
+
+TEST(DualSimplex, ForeignFrameAndInvalidSnapshotsRestoreAsBefore) {
+  // A snapshot restored into an engine with other scale factors adopts
+  // the basis and bounds but resets the steepest-edge weights to the unit
+  // frame, whether it is a delta or a keyframe; that engine's next capture
+  // is a keyframe. Badly ranged rows make the scale factors non-trivial;
+  // scaling_rows = 0 turns them off in the other engine.
+  LinearProgram lp;
+  const int n = 400;
+  for (int j = 0; j < n; ++j) {
+    const double s = std::pow(10.0, static_cast<double>(j % 9) - 4.0);
+    lp.add_var(0.0, 10.0 / s, s);
+  }
+  for (int r = 0; r + 1 < n; ++r) {
+    const double sr = std::pow(10.0, static_cast<double>(r % 5) - 2.0);
+    const double cr = std::pow(10.0, static_cast<double>(r % 9) - 4.0);
+    const double cn = std::pow(10.0, static_cast<double>((r + 1) % 9) - 4.0);
+    lp.add_ge(terms({{r, sr * cr}, {r + 1, 0.5 * sr * cn}}), 2.0 * sr);
+  }
+  LinearProgram unscaled = lp;
+  unscaled.scaling_rows = 0;
+
+  DualSimplex eng(lp);
+  ASSERT_EQ(eng.solve().status, LpStatus::kOptimal);
+  (void)eng.snapshot();
+  eng.set_var_bounds(5, 0.0, 0.5 * eng.var_upper(5));
+  eng.set_var_bounds(12, 0.0, 0.5 * eng.var_upper(12));
+  ASSERT_EQ(eng.solve().status, LpStatus::kOptimal);
+  const auto delta = eng.snapshot();
+  ASSERT_FALSE(delta->is_keyframe());
+
+  DualSimplex a(unscaled), b(unscaled), same_frame(lp);
+  a.restore(delta);
+  b.restore(eng.keyframe());
+  same_frame.restore(delta);
+  for (int p = 0; p < a.num_rows(); ++p) ASSERT_EQ(a.edge_weight(p), 1.0);
+  EXPECT_TRUE(a.snapshot()->is_keyframe());
+  EXPECT_FALSE(same_frame.snapshot()->is_keyframe());
+  a.set_var_bounds(20, 0.0, 0.25 * a.var_upper(20));
+  b.set_var_bounds(20, 0.0, 0.25 * b.var_upper(20));
+  expect_same_solve(a, b);
+
+  // Invalid snapshots (null, or captured before any solve) cold-start:
+  // the bound overrides they carry stay, and the solve is the fresh
+  // engine's; the first capture after a cold start is a keyframe.
+  DualSimplex never_solved(lp);
+  never_solved.set_var_bounds(7, 1.0, 2.0);
+  const auto unsolved = never_solved.snapshot();
+  ASSERT_FALSE(unsolved->valid());
+  DualSimplex cold(lp), fresh(lp);
+  cold.restore(delta);
+  cold.restore(unsolved);
+  fresh.set_var_bounds(7, 1.0, 2.0);
+  expect_same_solve(cold, fresh);
+  EXPECT_TRUE(cold.snapshot()->is_keyframe());
+  eng.restore(nullptr);
+  DualSimplex plain(lp);
+  const LpResult r_eng = eng.solve();
+  const LpResult r_plain = plain.solve();
+  EXPECT_EQ(r_eng.status, r_plain.status);
+  EXPECT_EQ(r_eng.objective, r_plain.objective);
+  EXPECT_EQ(r_eng.x, r_plain.x);
+  EXPECT_TRUE(eng.snapshot()->is_keyframe());
+}
+
+TEST(DualSimplex, OnePivotDeltaIsSmall) {
+  // A child one pivot from its parent stores a few statuses, one basis
+  // position and the weights that pivot touched: well under an eighth of
+  // a full copy.
+  const int n = 2000;
+  LinearProgram lp = clone_test_lp(n, 53u);
+  DualSimplex eng(lp);
+  const LpResult opt = eng.solve();
+  ASSERT_EQ(opt.status, LpStatus::kOptimal);
+  ASSERT_TRUE(eng.snapshot()->is_keyframe());
+  int j = 0;
+  while (j < n && opt.x[j] < 0.5) ++j;
+  ASSERT_LT(j, n);
+  eng.set_var_bounds(j, 0.0, 0.0);
+  eng.set_iteration_limit(1);
+  ASSERT_EQ(eng.solve().iterations, 1);
+  const auto child = eng.snapshot();
+  ASSERT_FALSE(child->is_keyframe());
+  const size_t full = eng.keyframe()->bytes();
+  EXPECT_LT(child->bytes() * 8, full)
+      << child->bytes() << " of " << full << " bytes";
 }
 
 TEST(DualSimplex, ModeratelyLargeStructuredLp) {
